@@ -10,7 +10,7 @@ catalog of permutation groups.
 """
 
 from .perm import Perm, format_cycles, parse_cycles
-from .group import (CapExceeded, PermGroup, alternating_group,
+from .group import (CapExceeded, PermGroup, alternating_group, generates,
                     group_from_generators, power_group, symmetric_group)
 from .structure import (ChiefSeries, ConjugacyTable, FusionMap,
                         SubgroupRecord, chief_series, conjugacy_classes,

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import chebotarev as cheb
 from . import families, generation, structure
-from .group import CapExceeded, PermGroup, group_from_generators
+from .group import CapExceeded, PermGroup, generates, group_from_generators
 from .perm import parse_cycles
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for e, G in _sweep_groups(run, max_order):
             report = generation.chief_bound_check(G, cap=run.lattice_cap)
             elem_ab_2 = _is_elementary_abelian_2(G)
-            equality = abs(report.d_i - report.log2_order) < 1e-9
+            equality = 2 ** report.d_i == G.order
             ok = report.within_log2_bound and (equality == elem_ab_2)
             violations += not ok
             rows.append({"group": e.name, "d_i": report.d_i,
@@ -240,6 +240,10 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
                          "trials": verdict.trials_run, "ok": ok})
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if not rows:
+        raise ValueError(f"sweep {suite} checked no groups: no catalog group "
+                         f"has order <= {max_order} (the smaller of "
+                         "--max-order and --lattice-cap)")
     out = {"suite": suite, "rows": rows, "violations": violations}
     return out, EXIT_OK if violations == 0 else EXIT_ASSERTION
 
@@ -258,7 +262,7 @@ def _sampled_all_invgen(G: PermGroup, run: _Run, seed: int,
     for _ in range(samples):
         size = rng.randint(1, 3)
         xs = [G.random_element(rng) for _ in range(size)]
-        if PermGroup(xs).order != G.order:
+        if not generates(xs, G.order):
             continue
         if not generation.invariably_generates_elements(profile, xs):
             return False
@@ -342,11 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_numbers(args) -> None:
+    """Reject out-of-range numeric options before any work runs."""
+    for name, least in (("trials", 1), ("seed", 0), ("max_order", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, "
+                             f"got {value}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     run = None
     try:
+        _check_numbers(args)
         run = _Run(args)
         handler = {"analyze": cmd_analyze, "invgen": cmd_invgen,
                    "chebotarev": cmd_chebotarev, "sweep": cmd_sweep}[args.command]

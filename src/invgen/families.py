@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .generation import build_profile, d_i_exact, invariably_generates, profile_row_of
-from .group import PermGroup, group_from_generators, power_group, symmetric_group
+from .group import (PermGroup, generates, group_from_generators, power_group,
+                    symmetric_group)
 from .perm import Perm, parse_cycles
 from .structure import (DEFAULT_LATTICE_CAP, conjugacy_classes,
                         fuse_classes_under, group_table,
@@ -127,7 +128,7 @@ def kl_criterion_check(T: PermGroup, A: PermGroup, M: TupleMatrix,
                 raise ValueError("A does not normalize T")
     ok = True
     for j in range(M.k):
-        if PermGroup(list(M.column(j)) or [T.identity()]).order != T.order:
+        if not generates(M.column(j), T.order):
             ok = False
             break
     if ok:
@@ -172,7 +173,7 @@ def search_generating_matrix(T: PermGroup, A: PermGroup, r: int, k: int,
     while len(cols) < k and tries < max_tries:
         tries += 1
         cand = tuple(T.random_element(rng) for _ in range(r))
-        if PermGroup(list(cand)).order != T.order:
+        if not generates(cand, T.order):
             continue
         clash = any(
             all(cand[i].conjugate(a) == col[i] for i in range(r))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .group import PermGroup
+from .group import PermGroup, generates
 from .maximal import MaximalClass, maximal_subgroups
 from .perm import Perm
 from .structure import (DEFAULT_LATTICE_CAP, FusionMap, chief_series,
@@ -247,13 +247,13 @@ def chief_bound_check(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     d_i, witness = d_i_exact(profile)
     series = chief_series(G)
     a2b = series.a + 2 * series.b
-    log2o = math.log2(G.order)
     return ChiefBoundReport(
         d_i=d_i,
         witness_labels=tuple(profile.class_labels[r] for r in witness),
-        a=series.a, b=series.b, a_plus_2b=a2b, log2_order=log2o,
+        a=series.a, b=series.b, a_plus_2b=a2b,
+        log2_order=math.log2(G.order),
         within_chief_bound=d_i <= a2b,
-        within_log2_bound=d_i <= log2o + 1e-12)
+        within_log2_bound=2 ** d_i <= G.order)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,8 @@ def find_noninvariable_generating_set(
     y = x.conjugate(g.inverse())      # pulls x back into M
     assert tab.index[y.images] in m_members
     Y = m_perms + [y]
-    assert PermGroup(X).order == G.order, "X generates G"
-    assert PermGroup(Y).order == target.order, "Y stays inside M"
+    assert generates(X, G.order), "X generates G"
+    assert generates(Y, target.order), "Y stays inside M"
     return X, Y
 
 
@@ -335,8 +335,7 @@ def invgen_sample_refuter(G: PermGroup, elements: Sequence[Perm],
     for t in range(1, trials + 1):
         conjugators = [G.random_element(rng) for _ in elements]
         twisted = [p.conjugate(g) for p, g in zip(elements, conjugators)]
-        gens = [p for p in twisted if not p.is_identity()]
-        if not gens or PermGroup(gens).order != G.order:
+        if not generates(twisted, G.order):
             return RefuterVerdict(refuted=True, trials_run=t,
                                   failing_conjugators=tuple(conjugators))
     return RefuterVerdict(refuted=False, trials_run=trials)

@@ -6,6 +6,17 @@ are always the smallest point moved by the sifted residue that created the
 level, orbits are explored breadth-first in point order, and generators are
 processed in input order.  Equal inputs therefore always produce identical
 chains, orders, element tables and random streams.
+
+generates(gens, order) answers "does <gens> have this order?" for a caller
+that guarantees every element of gens lies in a group of that order, i.e.
+"does gens generate that group?".  It sifts gens and then product-replacement
+random elements of <gens> into a chain without Schreier verification; the
+product of that chain's orbit lengths is a lower bound on |<gens>|, so
+reaching the order is a proven "yes".  After a fixed run of consecutive
+elements sifting to the identity it falls back to the exact chain of
+PermGroup(gens), which makes a "no" certain.  Its random generator is its
+own, seeded from the generators' image tuples: it never draws from a
+caller's generator, so seeded streams around it are unaffected.
 """
 
 from __future__ import annotations
@@ -16,6 +27,11 @@ from typing import Optional, Sequence
 from .perm import Perm
 
 DEFAULT_ENUM_CAP = 200_000
+
+# generates(): product-replacement slots, and the run of consecutive random
+# elements sifting to the identity after which the exact chain decides
+_PR_SLOTS = 10
+_PR_MISSES = 20
 
 
 class CapExceeded(Exception):
@@ -55,21 +71,10 @@ class StabChain:
             n *= len(lv.orbit)
         return n
 
-    def sift(self, p: Perm) -> Perm:
-        for lv in self.levels:
-            img = p(lv.base)
-            if img == lv.base:
-                continue
-            t_inv = lv.inv_transversal.get(img)
-            if t_inv is None:
-                return p
-            p = p * t_inv
-        return p
-
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.sift(p).is_identity()
+        return self._sift_from(0, p).is_identity()
 
     def base_points(self) -> list[int]:
         return [lv.base for lv in self.levels]
@@ -77,7 +82,7 @@ class StabChain:
     # -- construction --------------------------------------------------------
 
     def extend(self, p: Perm) -> None:
-        res = self.sift(p)
+        res = self._sift_from(0, p)
         if res.is_identity():
             return
         changed = self._register(res)
@@ -102,23 +107,31 @@ class StabChain:
 
     def _recompute_orbit(self, i: int) -> None:
         lv = self.levels[i]
-        gens = self._visible(i)
         ident = Perm.identity(self.degree)
         lv.transversal = {lv.base: ident}
         lv.inv_transversal = {lv.base: ident}
         lv.orbit = [lv.base]
+        self._grow_orbit(i, 0, ())
+
+    def _grow_orbit(self, i: int, closed: int, new: Sequence[Perm]) -> None:
+        """Close level i's orbit under its visible generators, breadth-first,
+        given that its first `closed` points are closed under all of them
+        except those in `new`."""
+        lv = self.levels[i]
+        gens = self._visible(i)
+        orbit, trans, inv = lv.orbit, lv.transversal, lv.inv_transversal
         k = 0
-        while k < len(lv.orbit):
-            pt = lv.orbit[k]
-            k += 1
-            t = lv.transversal[pt]
-            for g in gens:
+        while k < len(orbit):
+            pt = orbit[k]
+            t = trans[pt]
+            for g in gens if k >= closed else new:
                 img = g(pt)
-                if img not in lv.transversal:
+                if img not in trans:
                     tg = t * g
-                    lv.transversal[img] = tg
-                    lv.inv_transversal[img] = tg.inverse()
-                    lv.orbit.append(img)
+                    trans[img] = tg
+                    inv[img] = tg.inverse()
+                    orbit.append(img)
+            k += 1
 
     def _sift_from(self, level: int, p: Perm) -> Perm:
         for lv in self.levels[level:]:
@@ -130,6 +143,23 @@ class StabChain:
                 return p
             p = p * t_inv
         return p
+
+    def _absorb(self, p: Perm) -> bool:
+        """Store p's residue, if it has one, and extend the orbits of the
+        levels it joins, without Schreier verification; say whether the
+        chain grew.  Points already in an orbit keep their transversal
+        elements, so a level's orbit order can differ from a recomputed one.
+        """
+        res = self._sift_from(0, p)
+        if res.is_identity():
+            return False
+        for i in range(self._register(res) + 1):
+            lv = self.levels[i]
+            if lv.transversal:
+                self._grow_orbit(i, len(lv.orbit), (res,))
+            else:                         # the level res just opened
+                self._recompute_orbit(i)
+        return True
 
     def _close(self, dirty_from: int) -> None:
         """Fixpoint: every level's orbit is over its full visible generator
@@ -196,8 +226,10 @@ class StabChain:
 class PermGroup:
     """A finite permutation group: generators plus a stabilizer chain.
 
-    Immutable after construction; safe to share.  The element table is
-    computed lazily and cached (it backs all exact structure work).
+    The generators and chain do not change after construction.  The element
+    table and the structure in ``_cache`` are computed lazily on first use
+    and stored on the object, so concurrent first uses from several threads
+    are not safe.
     """
 
     def __init__(self, generators: Sequence[Perm], name: str = ""):
@@ -260,6 +292,45 @@ class PermGroup:
     def subgroup(self, generators: Sequence[Perm], name: str = "") -> "PermGroup":
         gens = list(generators) or [self.identity()]
         return PermGroup(gens, name=name)
+
+
+def generates(gens: Sequence[Perm], order: int) -> bool:
+    """Does gens generate a group of the given order?
+
+    The caller guarantees that every element of gens lies in a group of that
+    order, so the question is whether gens generates that whole group.  The
+    answer is exact both ways; the module docstring gives the method.
+    """
+    if not gens:
+        return order == 1
+    return _subgroup_if_proper(gens, order) is None
+
+
+def _subgroup_if_proper(gens: Sequence[Perm], order: int
+                        ) -> Optional[PermGroup]:
+    """None when <gens> has the given order (same guarantee as generates),
+    otherwise the exact PermGroup(gens), so that a caller that needs the
+    proper subgroup does not build it again."""
+    chain = StabChain(gens[0].degree)
+    for g in gens:
+        chain._absorb(g)
+    slots = [g for g in gens if not g.is_identity()]
+    if slots:
+        slots = [slots[i % len(slots)]
+                 for i in range(max(_PR_SLOTS, len(slots)))]
+        rng = random.Random(hash(tuple(g.images for g in gens)))
+        acc = Perm.identity(chain.degree)
+        misses = 0
+        while chain.order() < order and misses < _PR_MISSES:
+            i = rng.randrange(len(slots))
+            j = rng.randrange(len(slots) - 1)
+            slots[i] = slots[i] * slots[j + (j >= i)]
+            acc = acc * slots[i]
+            misses = 0 if chain._absorb(acc) else misses + 1
+    if chain.order() == order:
+        return None
+    exact = PermGroup(gens)
+    return None if exact.order == order else exact
 
 
 def group_from_generators(gens: Sequence[Perm], name: str = "") -> PermGroup:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .group import CapExceeded, PermGroup
+from .group import CapExceeded, PermGroup, _subgroup_if_proper, generates
 from .perm import Perm
 
 DEFAULT_LATTICE_CAP = 20_000
@@ -180,14 +180,15 @@ def _sylow_indices(tab, p: int, full: int) -> list[int]:
 
 
 class _Subgp:
-    """Search-time handle: generators plus a chain for order/membership."""
+    """Search-time handle: generators plus the group they generate, for
+    order and membership."""
 
     __slots__ = ("gens", "group", "order")
 
-    def __init__(self, gens: list[Perm]):
+    def __init__(self, gens: list[Perm], group: PermGroup):
         self.gens = gens
-        self.group = PermGroup(gens)
-        self.order = self.group.order
+        self.group = group
+        self.order = group.order
 
     def contains(self, p: Perm) -> bool:
         return self.group.contains(p)
@@ -205,7 +206,8 @@ def _interval_maximals(tab, sylow_members: list[int]) -> list[_Subgp]:
     """
     G = tab.group
     p_gens = [tab.elements[i] for i in _small_gens_of(tab, sylow_members)]
-    proper: list[_Subgp] = [_Subgp(p_gens or [G.identity()])]
+    p_gens = p_gens or [G.identity()]
+    proper: list[_Subgp] = [_Subgp(p_gens, PermGroup(p_gens))]
 
     def record(cand: _Subgp) -> Optional[_Subgp]:
         for w in proper:
@@ -225,9 +227,10 @@ def _interval_maximals(tab, sylow_members: list[int]) -> list[_Subgp]:
             sx = s * px
             for s2 in sylow_perms:
                 assigned.add(tab.index[(sx * s2).images])
-        cand = _Subgp(p_gens + [px])
-        if cand.order < G.order:
-            record(cand)
+        gens = p_gens + [px]
+        sub = _subgroup_if_proper(gens, G.order)
+        if sub is not None:
+            record(_Subgp(gens, sub))
     frontier = list(proper)
     while frontier:
         new: list[_Subgp] = []
@@ -235,9 +238,10 @@ def _interval_maximals(tab, sylow_members: list[int]) -> list[_Subgp]:
             for b in list(proper):
                 if a is b or a.contains_all(b.gens) or b.contains_all(a.gens):
                     continue
-                j = _Subgp(a.gens + b.gens)
-                if j.order < G.order:
-                    added = record(j)
+                gens = a.gens + b.gens
+                sub = _subgroup_if_proper(gens, G.order)
+                if sub is not None:
+                    added = record(_Subgp(gens, sub))
                     if added is not None:
                         new.append(added)
         frontier = new
@@ -360,7 +364,7 @@ def _certify_maximal(tab, members: frozenset) -> bool:
         px = tab.elements[x]
         for s in members:
             assigned.add(tab.index[(tab.elements[s] * px).images])
-        if PermGroup(gens + [px]).order != G.order:
+        if not generates(gens + [px], G.order):
             return False
     return True
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from invgen import cli
 from invgen.cli import main
 
 
@@ -128,3 +129,28 @@ def test_sweep_prop24_small(capsys):
     assert code == 0 and data["violations"] == 0
     for row in data["rows"]:
         assert row["nilpotent"] == (not row["counterexample"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "families", "--trials", "-5"),
+    ("sweep", "families", "--trials", "0"),
+    ("chebotarev", "A5", "--mc", "--trials", "0"),
+    ("sweep", "prop24", "--seed", "-1"),
+    ("chebotarev", "A5", "--mc", "--seed", "-2"),
+    ("sweep", "theorem1", "--max-order", "0"),
+    ("sweep", "lemma23", "--max-order", "-3"),
+])
+def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
+    def no_work(args):
+        raise AssertionError("work started despite bad input")
+    monkeypatch.setattr(cli, "_Run", no_work)
+    code, data = run_json(capsys, *argv)
+    assert code == 3
+    assert data["error"] == "input"
+    assert argv[-2] in data["reason"]
+
+
+def test_sweep_with_no_rows_is_an_input_error(capsys):
+    code, data = run_json(capsys, "sweep", "theorem1", "--max-order", "1")
+    assert code == 3
+    assert data["error"] == "input" and "no groups" in data["reason"]

@@ -190,6 +190,13 @@ def test_chief_bound_reports():
     assert rep.d_i == 4 == rep.a_plus_2b == rep.log2_order
 
 
+def test_log2_bound_is_an_integer_test_on_c2_4(get_group):
+    G = get_group("C2^4")
+    rep = chief_bound_check(G)
+    assert rep.d_i == 4 and 2 ** rep.d_i == G.order == 16
+    assert rep.within_log2_bound
+
+
 # -- the nilpotency dichotomy -------------------------------------------------
 
 def test_s3_construction():
