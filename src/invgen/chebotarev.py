@@ -27,8 +27,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .generation import IncidenceProfile, build_profile
-from .group import PermGroup
-from .structure import DEFAULT_LATTICE_CAP, conjugacy_classes
+from .group import DEFAULT_LATTICE_CAP, PermGroup
+from .maximal import maximal_subgroups
+from .table import conjugacy_classes, group_table, indices_of_bits
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -50,7 +51,6 @@ class DistinctTildeFamily:
 
 def distinct_tilde_family(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                           ) -> DistinctTildeFamily:
-    from .maximal import maximal_subgroups
     ct = conjugacy_classes(G)
     sizes = tuple(c.size for c in ct.classes)
     seen: dict[int, list[str]] = {}
@@ -59,22 +59,13 @@ def distinct_tilde_family(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     sets = sorted(seen)
     dens = []
     for s in sets:
-        covered = sum(sizes[ci] for ci in _bit_indices(s))
+        covered = sum(sizes[ci] for ci in indices_of_bits(s))
         d = Fraction(covered, G.order)
         assert d < 1, "union of conjugates of a proper subgroup is proper"
         dens.append(d)
     return DistinctTildeFamily(
         group=G, sets=tuple(sets), densities=tuple(dens),
         provenance=tuple(tuple(seen[s]) for s in sets), class_sizes=sizes)
-
-
-def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def _subset_densities(family: DistinctTildeFamily, cap: int
@@ -95,7 +86,7 @@ def _subset_densities(family: DistinctTildeFamily, cap: int
         rest = mask ^ low
         bits = family.sets[i] if rest == 0 else inter[rest] & family.sets[i]
         inter[mask] = bits
-        covered = sum(sizes[ci] for ci in _bit_indices(bits))
+        covered = sum(sizes[ci] for ci in indices_of_bits(bits))
         out[mask] = (mask.bit_count(), Fraction(covered, order))
     return out[1:]
 
@@ -167,7 +158,6 @@ def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
     Both sides range over maximal subgroup classes (the upper sum counts a
     shared union once per class, which only weakens it).
     """
-    from .maximal import maximal_subgroups
     maxes = maximal_subgroups(G, cap=cap)
     family = distinct_tilde_family(G, cap=cap)
     miss = 1 - p_i_exact(family, k)
@@ -221,7 +211,7 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
             row_of_class[ci] = ri
     rows = profile.rows
     class_of = ct.class_of
-    tab_index = None
+    tab_index = group_table(G).index
     counts = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
@@ -230,9 +220,6 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
         while alive:
             p = G.random_element(rng)
             draws += 1
-            if tab_index is None:
-                from .structure import group_table
-                tab_index = group_table(G).index
             alive &= rows[row_of_class[class_of[tab_index[p.images]]]]
         counts.append(draws)
     mean = sum(counts) / trials

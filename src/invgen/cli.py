@@ -20,7 +20,9 @@ from typing import Optional
 
 from . import chebotarev as cheb
 from . import families, generation, structure
-from .group import CapExceeded, PermGroup, generates, group_from_generators
+from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
+                    PermGroup, alternating_group, generates,
+                    group_from_generators, symmetric_group)
 from .perm import parse_cycles
 
 EXIT_OK = 0
@@ -59,12 +61,6 @@ class _Run:
             raise ValueError("give a catalog group name or --gens/--degree")
         return families.catalog_group(self.args.group, self.catalog)
 
-    def entry(self) -> Optional[families.CatalogEntry]:
-        for e in self.catalog:
-            if e.name == self.args.group:
-                return e
-        return None
-
 
 def cmd_analyze(run: _Run) -> tuple[dict, int]:
     G = run.group()
@@ -91,9 +87,7 @@ def cmd_invgen(run: _Run) -> tuple[dict, int]:
     G = run.group()
     fusion = None
     if run.args.fuse:
-        A = families.catalog_group(run.args.fuse, run.catalog) \
-            if any(e.name == run.args.fuse for e in run.catalog) \
-            else _builtin_overgroup(run.args.fuse)
+        A = families.overgroup_by_name(run.args.fuse, run.catalog)
         fusion = structure.fuse_classes_under(G, A)
     profile = generation.build_profile(G, fusion=fusion, cap=run.lattice_cap)
     out: dict = {"group": G.name, "order": G.order,
@@ -127,13 +121,6 @@ def _parse_check(spec: str, profile, G: PermGroup) -> list[int]:
             p = parse_cycles(token, G.degree)
             rows.append(generation.profile_row_of(profile, p))
     return rows
-
-
-def _builtin_overgroup(name: str) -> PermGroup:
-    from .group import symmetric_group
-    if name.startswith("S") and name[1:].isdigit():
-        return symmetric_group(int(name[1:]))
-    raise ValueError(f"unknown overgroup {name!r}")
 
 
 def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
@@ -215,7 +202,6 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
             rows.append({"group": e.name, "k_range": "1..8", "ok": ok})
     elif suite == "families":
         for n in range(5, 9):
-            from .group import alternating_group, symmetric_group
             an = alternating_group(n)
             fm = structure.fuse_classes_under(an, symmetric_group(n))
             prof = generation.build_profile(an, fusion=fm,
@@ -229,7 +215,6 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         seed = run.args.seed or DEFAULT_SEED_CONSTANT
         rng = random.Random(seed)
         for n in range(9, 15):
-            from .group import alternating_group
             an = alternating_group(n)
             x, y = families.alternating_pair(n)
             verdict = generation.invgen_sample_refuter(an, [x, y],
@@ -292,11 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--enum-cap", type=int,
-                        default=int(os.environ.get(ENV_ENUM_CAP, 200_000)))
+                        default=int(os.environ.get(ENV_ENUM_CAP,
+                                                   DEFAULT_ENUM_CAP)))
     common.add_argument("--lattice-cap", type=int,
-                        default=int(os.environ.get(ENV_LATTICE_CAP, 20_000)))
+                        default=int(os.environ.get(ENV_LATTICE_CAP,
+                                                   DEFAULT_LATTICE_CAP)))
     common.add_argument("--subset-cap", type=int,
-                        default=int(os.environ.get(ENV_SUBSET_CAP, 24)))
+                        default=int(os.environ.get(ENV_SUBSET_CAP,
+                                                   cheb.DEFAULT_SUBSET_CAP)))
     ap = argparse.ArgumentParser(
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
@@ -358,13 +346,17 @@ def _check_numbers(args) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    run = None
     try:
         _check_numbers(args)
         run = _Run(args)
         handler = {"analyze": cmd_analyze, "invgen": cmd_invgen,
                    "chebotarev": cmd_chebotarev, "sweep": cmd_sweep}[args.command]
         data, code = handler(run)
+    except AssertionError as e:
+        # an internal consistency check failed, e.g. the maximal-search
+        # tripwire: a mathematical failure, reported like any other result
+        print(json.dumps({"error": "assertion", "reason": str(e)}))
+        return EXIT_ASSERTION
     except CapExceeded as e:
         print(json.dumps({"error": "cap-exceeded", "reason": str(e)}))
         return EXIT_CAP

@@ -17,15 +17,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .generation import build_profile, d_i_exact, invariably_generates, profile_row_of
-from .group import (PermGroup, generates, group_from_generators, power_group,
-                    symmetric_group)
+from .generation import build_profile, invariably_generates
+from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
+                    group_from_generators, power_group, symmetric_group)
+from .maximal import _normalizer_indices, _subgroup_orbit, maximal_subgroups
 from .perm import Perm, parse_cycles
-from .structure import (DEFAULT_LATTICE_CAP, conjugacy_classes,
-                        fuse_classes_under, group_table,
-                        normal_closure_bits, indices_of_bits,
-                        small_generating_indices)
-from .maximal import maximal_subgroups
+from .structure import normal_closure_bits
+from .table import conjugacy_classes, group_table
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,6 @@ class TupleMatrix:
         return tuple(row[j] for row in self.entries)
 
     def rows_as_power_elements(self) -> list[Perm]:
-        from .group import embed_tuple
         return [embed_tuple(row, self.k) for row in self.entries]
 
 
@@ -280,10 +277,15 @@ def instantiate(entry: CatalogEntry) -> PermGroup:
 
 def resolve_overgroup(entry: CatalogEntry,
                       catalog: Sequence[CatalogEntry]) -> PermGroup:
-    """The named overgroup as a group: another catalog entry, or S<n>."""
+    """The entry's named overgroup as a group (see overgroup_by_name)."""
     if entry.overgroup is None:
         raise ValueError(f"{entry.name} has no overgroup in the catalog")
-    name = entry.overgroup
+    return overgroup_by_name(entry.overgroup, catalog)
+
+
+def overgroup_by_name(name: str, catalog: Sequence[CatalogEntry]
+                      ) -> PermGroup:
+    """An overgroup named as a catalog entry, or S<n> built on demand."""
     for other in catalog:
         if other.name == name:
             return instantiate(other)
@@ -391,12 +393,11 @@ def almost_simple_lower_example(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                      if not (socle_bits >> i) & 1
                      and tab.elements[i].order() == b)
     sigma_cyclic = tab.closure([sigma_idx])
-    norm = _normalizer_of(tab, frozenset(sigma_cyclic))
-    norm_bits = tab.bits_of(norm)
+    norm = _normalizer_indices(tab, frozenset(sigma_cyclic))
     located = None
     for mc in maximal_subgroups(G, cap=cap):
-        orbit = _orbit_bitsets(tab, mc)
-        if any(norm_bits | mb == mb for mb in orbit):
+        orbit = _subgroup_orbit(tab, frozenset(mc.member_indices()))
+        if any(m.issuperset(norm) for m in orbit):
             located = mc
             break
     assert located is not None, "normalizer lies in some maximal subgroup"
@@ -420,14 +421,3 @@ def _derived_subgroup_bits(G: PermGroup) -> int:
         for h in gens[i:]:
             comms.append(tab.index[(g.inverse() * h.inverse() * g * h).images])
     return normal_closure_bits(tab, comms)
-
-
-def _normalizer_of(tab, members: frozenset) -> list[int]:
-    from .maximal import _normalizer_indices
-    return _normalizer_indices(tab, members)
-
-
-def _orbit_bitsets(tab, mc) -> list[int]:
-    from .maximal import _subgroup_orbit
-    orbit = _subgroup_orbit(tab, frozenset(mc.member_indices()))
-    return [tab.bits_of(sorted(s)) for s in orbit]

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .group import PermGroup, generates
-from .maximal import MaximalClass, maximal_subgroups
+from .group import DEFAULT_LATTICE_CAP, PermGroup, generates
+from .maximal import maximal_subgroups
 from .perm import Perm
-from .structure import (DEFAULT_LATTICE_CAP, FusionMap, chief_series,
-                        conjugacy_classes, group_table, is_nilpotent)
+from .structure import FusionMap, chief_series
+from .table import conjugacy_classes, group_table
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 
 from .perm import Perm
 
-DEFAULT_ENUM_CAP = 200_000
+DEFAULT_ENUM_CAP = 200_000       # largest group whose elements are listed
+DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
 
 # generates(): product-replacement slots, and the run of consecutive random
 # elements sifting to the identity after which the exact chain decides
@@ -75,9 +76,6 @@ class StabChain:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         return self._sift_from(0, p).is_identity()
-
-    def base_points(self) -> list[int]:
-        return [lv.base for lv in self.levels]
 
     # -- construction --------------------------------------------------------
 
@@ -248,7 +246,6 @@ class PermGroup:
             self.chain.extend(g)
         self.order: int = self.chain.order()
         self._elements: Optional[list[Perm]] = None
-        self._index: Optional[dict[tuple, int]] = None
         self._cache: dict = {}   # lazily computed structure (tables, classes)
 
     def __repr__(self) -> str:
@@ -256,8 +253,6 @@ class PermGroup:
         return f"<{label}: degree {self.degree}, order {self.order}>"
 
     def contains(self, p: Perm) -> bool:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch")
         return self.chain.contains(p)
 
     def random_element(self, rng: random.Random) -> Perm:
@@ -270,28 +265,15 @@ class PermGroup:
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Perm]:
         """All elements, sorted by image tuple (identity first)."""
+        if self.order > cap:
+            raise CapExceeded(
+                f"order {self.order} exceeds enumeration cap {cap}; "
+                "use sampling-only paths")
         if self._elements is None:
-            if self.order > cap:
-                raise CapExceeded(
-                    f"order {self.order} exceeds enumeration cap {cap}; "
-                    "use sampling-only paths")
             elems = self.chain.enumerate()
             elems.sort()
             self._elements = elems
-            self._index = {p.images: i for i, p in enumerate(elems)}
         return self._elements
-
-    def element_index(self, p: Perm) -> int:
-        if self._index is None:
-            self.elements()
-        idx = self._index.get(p.images)
-        if idx is None:
-            raise ValueError(f"{p!r} is not an element of this group")
-        return idx
-
-    def subgroup(self, generators: Sequence[Perm], name: str = "") -> "PermGroup":
-        gens = list(generators) or [self.identity()]
-        return PermGroup(gens, name=name)
 
 
 def generates(gens: Sequence[Perm], order: int) -> bool:

@@ -111,7 +111,7 @@ def test_criterion_03_d_i_values_and_bound_sweeps(catalog, get_group):
     for entry, G in _catalog_groups(catalog, get_group, STRUCT_CAP):
         rep = generation.chief_bound_check(G, cap=STRUCT_CAP)
         assert rep.within_log2_bound, entry.name
-        is_equal = abs(rep.d_i - rep.log2_order) < 1e-9
+        is_equal = 2 ** rep.d_i == G.order
         assert is_equal == (entry.name in elementary_2), entry.name
         assert rep.within_chief_bound, entry.name
         if entry.name in equal_chief:

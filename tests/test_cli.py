@@ -154,3 +154,22 @@ def test_sweep_with_no_rows_is_an_input_error(capsys):
     code, data = run_json(capsys, "sweep", "theorem1", "--max-order", "1")
     assert code == 3
     assert data["error"] == "input" and "no groups" in data["reason"]
+
+
+def test_check_with_a_non_member_names_it(capsys):
+    code, data = run_json(capsys, "invgen", "A5", "--check", "(1 2)")
+    assert code == 3
+    assert data["error"] == "input"
+    assert data["reason"] == "(1 2) is not an element of A5"
+
+
+def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
+    from invgen import structure
+
+    def tripwire(G, cap):
+        raise AssertionError("class 5a uncovered: incomplete search")
+    monkeypatch.setattr(structure, "maximal_subgroups", tripwire)
+    code, data = run_json(capsys, "analyze", "A5")
+    assert code == cli.EXIT_ASSERTION
+    assert data == {"error": "assertion",
+                    "reason": "class 5a uncovered: incomplete search"}

@@ -140,7 +140,7 @@ def test_catalog_loads_and_instantiates_spot():
     names = {e.name for e in cat}
     for required in ["C2", "C16", "C2^4", "S3", "S4", "D8", "Q8", "A4", "A5",
                      "A8", "S7", "PSL(2,7)", "PSL(2,8)", "PSL(2,11)",
-                     "AGL(1,5)", "AGL(1,13)", "PGammaL(2,8)", "F20"]:
+                     "AGL(1,5)", "AGL(1,13)", "PGammaL(2,8)"]:
         assert required in names
     assert catalog_group("A5").order == 60
     assert catalog_group("AGL(1,7)").order == 42

@@ -197,6 +197,47 @@ def test_nilpotent_mtilde_equals_subgroup():
             assert covered == m.order
 
 
+ATLAS_MAXIMALS = {
+    # (order, class size) of each maximal class, in canonical order; these
+    # agree with Conway et al., ATLAS of Finite Groups (1985)
+    "A6": [(60, 6), (60, 6), (36, 10), (24, 15), (24, 15)],
+    "S6": [(360, 1), (120, 6), (120, 6), (72, 10), (48, 15), (48, 15)],
+    "A7": [(360, 7), (168, 15), (168, 15), (120, 21), (72, 35)],
+    "S7": [(2520, 1), (720, 7), (240, 21), (144, 35), (42, 120)],
+    "PSL(2,7)": [(24, 7), (24, 7), (21, 8)],
+    "PSL(2,8)": [(56, 9), (18, 28), (14, 36)],
+    "PSL(2,11)": [(60, 11), (60, 11), (55, 12), (12, 55)],
+    "PGammaL(2,8)": [(504, 1), (168, 9), (54, 28), (42, 36)],
+    "A8": [(2520, 8), (1344, 15), (1344, 15), (720, 28), (576, 35),
+           (360, 56)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS_MAXIMALS))
+def test_maximal_classes_match_atlas(name, get_group):
+    from conftest import STRUCT_CAP
+    ms = maximal_subgroups(get_group(name), cap=STRUCT_CAP)
+    assert [(m.order, m.class_size) for m in ms] == ATLAS_MAXIMALS[name]
+
+
+def test_caps_hold_whatever_the_call_history(get_group):
+    # a cached result must not slip past a smaller cap than the one that
+    # computed it: each call raises exactly as it would on a fresh group
+    G = get_group("A7")
+    maximal_subgroups(G, cap=25_000)
+    calls = [lambda: maximal_subgroups(G, cap=100),
+             lambda: group_table(G, cap=100),
+             lambda: conjugacy_classes(G, cap=100),
+             lambda: G.elements(cap=100)]
+    for call in calls:
+        with pytest.raises(CapExceeded):
+            call()
+    S4 = symmetric_group(4)
+    subgroup_lattice(S4)
+    with pytest.raises(CapExceeded):
+        subgroup_lattice(S4, cap=10)
+
+
 # -- quotients and chief series ---------------------------------------------
 
 def test_quotient_s4_by_v4():
