@@ -204,9 +204,8 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int]
         sub = _subgroup_if_proper([tab.elements[i] for i in gens], G.order)
         if sub is None:
             return None
-        for _, w in proper:
-            if len(w) == sub.order and all(g in w for g in gens):
-                return None
+        if any(len(w) == sub.order and w.issuperset(gens) for _, w in proper):
+            return None
         cand = (gens, frozenset(tab.index[p.images]
                                 for p in sub.chain.enumerate()))
         proper.append(cand)

@@ -54,7 +54,7 @@ def is_normal_bits(tab: GroupTable, bits: int, gen_indices: Sequence[int]) -> bo
 def quotient_group(G: PermGroup, N: SubgroupRecord,
                    cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     """G/N as a permutation group on the cosets of N (least-member order)."""
-    tab = group_table(G)
+    tab = group_table(G, cap=cap)
     gen_idx = list(N.gen_indices) or [tab.identity_index]
     if not is_normal_bits(tab, N.bits, gen_idx):
         raise ValueError("subgroup is not normal")
@@ -83,14 +83,15 @@ def quotient_group(G: PermGroup, N: SubgroupRecord,
     return Q
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[SubgroupRecord]:
+def minimal_normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP
+                             ) -> list[SubgroupRecord]:
     """Inclusion-minimal nontrivial normal subgroups, canonically ordered.
 
     Found as normal closures of single conjugacy classes; every minimal
     normal subgroup is the closure of any of its nonidentity elements.
     """
-    tab = group_table(G)
-    ct = conjugacy_classes(G)
+    tab = group_table(G, cap=cap)
+    ct = conjugacy_classes(G, cap=cap)
     closures: dict[int, int] = {}
     for c in ct.classes[1:]:
         bits = normal_closure_bits(tab, [c.rep_index])
@@ -133,6 +134,7 @@ def chief_series(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ChiefSeries:
     """A chief series of G, built by repeatedly factoring out the canonical
     least minimal normal subgroup.  The multiset of (order, abelian) pairs
     is an invariant of G even though the series itself is a choice."""
+    group_table(G, cap=cap)       # raises past the cap, cached series or not
     cached = G._cache.get("chief")
     if cached is not None:
         return cached
@@ -140,7 +142,7 @@ def chief_series(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ChiefSeries:
     current = G
     while current.order > 1:
         tab = group_table(current, cap=cap)
-        N = minimal_normal_subgroups(current)[0]
+        N = minimal_normal_subgroups(current, cap=cap)[0]
         abelian = _is_abelian_subgroup(tab, N.gen_indices or (tab.identity_index,))
         kind = "abelian" if abelian else "non-abelian"
         factors.append(ChiefFactor(order=N.order, abelian=abelian,

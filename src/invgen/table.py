@@ -162,7 +162,8 @@ class ConjugacyTable:
     class_of: list[int]       # element index -> class index
 
     def class_of_element(self, p: Perm) -> int:
-        i = group_table(self.group).index.get(p.images)
+        # the classes were read off this table, so no cap applies here
+        i = self.group._cache["table"].index.get(p.images)
         if i is None:
             raise ValueError(f"{format_cycles(p)} is not an element of "
                              f"{self.group.name or 'the group'}")

@@ -225,9 +225,11 @@ def test_caps_hold_whatever_the_call_history(get_group):
     # computed it: each call raises exactly as it would on a fresh group
     G = get_group("A7")
     maximal_subgroups(G, cap=25_000)
+    chief_series(G)
     calls = [lambda: maximal_subgroups(G, cap=100),
              lambda: group_table(G, cap=100),
              lambda: conjugacy_classes(G, cap=100),
+             lambda: chief_series(G, cap=100),
              lambda: G.elements(cap=100)]
     for call in calls:
         with pytest.raises(CapExceeded):
