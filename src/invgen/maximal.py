@@ -27,11 +27,12 @@ Representation.  Throughout the search a subgroup is the frozenset of its
 indices in G's element table: containment is `<=`, and conjugation maps a
 set through an index map, `frozenset(map(m.__getitem__, s))`.  Bitsets
 (ints) appear only in the public records, built once per final class.  The
-search conjugates constantly, and bitsets would make that 12 to 35 times
+search conjugates constantly, and bitsets would make that 12 to 37 times
 slower, since each image bit is set in an int as wide as the table: in the
 20,160-element table of A8, conjugating a subgroup of 8 / 64 / 360 members
-took 1.0 / 3.3 / 21 us as a frozenset and 12 / 118 / 608 us as a bitset
-(CPython 3.11, one core of an Intel Xeon).
+took 0.6 / 3.5 / 18 us as a frozenset and 7.5 / 126 / 607 us as a bitset
+(CPython 3.11, one core of an Intel Xeon; the ratios ranged from 12 to 37
+over repeated runs).
 """
 
 from __future__ import annotations
