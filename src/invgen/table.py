@@ -7,7 +7,8 @@ indices, in a fixed canonical order so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
                     PermGroup)
@@ -20,7 +21,19 @@ from .perm import Perm, format_cycles
 
 class GroupTable:
     """Element table of a group with index-level multiplication and
-    per-generator conjugation maps."""
+    per-generator conjugation maps.
+
+    Products are read off image tuples, never by building a Perm.  With
+    (p * q)(i) = q(p(i)), the image tuple of g * x is x's image tuple read
+    at g's images, one ``operator.itemgetter`` call plus an ``index``
+    lookup.  An element's left-multiplication map (x -> g * x for every x,
+    n entries) is built once the products it has cost in ``closure`` reach
+    n, the price of building the map; after that each product is a list
+    lookup.  This ski-rental rule spends at most about twice the cheaper of
+    the two choices, and the threshold is the table's own size.  There is
+    no Cayley table: A8's would hold 20160**2 (406M) entries, while its
+    maximal search leaves maps on about a dozen of 3,500 generators.
+    """
 
     def __init__(self, group: PermGroup, cap: int = DEFAULT_ENUM_CAP):
         self.group = group
@@ -31,9 +44,26 @@ class GroupTable:
         self._conj_maps: Optional[list[list[int]]] = None
         self._inv_map: Optional[list[int]] = None
         self._elem_conj_maps: dict[int, list[int]] = {}
+        self._left_maps: dict[int, list[int]] = {}
+        self._left_uses: dict[int, int] = {}
+
+    def _left_getter(self, g: int) -> Callable[[tuple], tuple]:
+        """Take x's image tuple to that of e_g * e_x."""
+        gim = self.elements[g].images
+        if len(gim) == 1:         # itemgetter of one index returns a scalar
+            return tuple
+        return itemgetter(*[j - 1 for j in gim])
+
+    def _left_map(self, g: int) -> list[int]:
+        get = self._left_getter(g)
+        index = self.index
+        return [index[get(x.images)] for x in self.elements]
 
     def mult(self, i: int, j: int) -> int:
-        return self.index[(self.elements[i] * self.elements[j]).images]
+        m = self._left_maps.get(i)
+        if m is not None:
+            return m[j]
+        return self.index[self._left_getter(i)(self.elements[j].images)]
 
     def inv(self, i: int) -> int:
         if self._inv_map is None:
@@ -71,35 +101,60 @@ class GroupTable:
 
     def closure(self, gen_indices: Sequence[int], bound: Optional[int] = None
                 ) -> Optional[list[int]]:
-        """Indices of the subgroup generated by the given elements.
+        """Sorted indices of the subgroup generated by the given elements.
 
-        BFS from the identity by right multiplication; with a bound, returns
-        None as soon as the subgroup would exceed it.
+        BFS from the identity by left multiplication, x -> g * x for each
+        generator g: through g's map when it has one, else through g's
+        itemgetter (see the class docstring), counting each such product
+        towards g's map.  With a bound, returns None as soon as the
+        subgroup is seen to exceed it, so exactly when |<gens>| > bound.
         """
-        elements = self.elements
-        index = self.index
+        n = self.n
+        if bound is None:
+            bound = n
         gens = sorted(set(gen_indices) - {self.identity_index})
-        members = {self.identity_index}
-        worklist = [self.identity_index]
-        gen_perms = [(g, elements[g]) for g in gens]
-        for g, _ in gen_perms:
-            members.add(g)
-            worklist.append(g)
-        if bound is not None and len(members) > bound:
-            return None
+        maps: list[list[int]] = []
+        getters = []
+        rented = []
+        for g in gens:
+            m = self._left_maps.get(g)
+            if m is None and self._left_uses.get(g, 0) >= n:
+                m = self._left_maps[g] = self._left_map(g)
+                del self._left_uses[g]
+            if m is None:
+                getters.append(self._left_getter(g))
+                rented.append(g)
+            else:
+                maps.append(m)
+        index = self.index
+        elements = self.elements
+        seen = bytearray(n)
+        worklist = [self.identity_index, *gens]
+        for x in worklist:
+            seen[x] = 1
         k = 0
-        while k < len(worklist):
+        while k < len(worklist) <= bound:
             x = worklist[k]
             k += 1
-            px = elements[x]
-            for _, pg in gen_perms:
-                y = index[(px * pg).images]
-                if y not in members:
-                    members.add(y)
-                    if bound is not None and len(members) > bound:
-                        return None
+            for m in maps:
+                y = m[x]
+                if not seen[y]:
+                    seen[y] = 1
                     worklist.append(y)
-        return sorted(members)
+            if getters:
+                xim = elements[x].images
+                for get in getters:
+                    y = index[get(xim)]
+                    if not seen[y]:
+                        seen[y] = 1
+                        worklist.append(y)
+        uses = self._left_uses
+        for g in rented:
+            uses[g] = uses.get(g, 0) + k
+        if len(worklist) > bound:
+            return None
+        worklist.sort()
+        return worklist
 
     def bits_of(self, indices: Sequence[int]) -> int:
         b = 0

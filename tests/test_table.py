@@ -39,11 +39,15 @@ def test_closure_matches_oracle(catalog, name, rounds):
     # one table to get a left-multiplication map while others have none yet
     pool = rng.sample(range(1, tab.n), 6)
     orders = set()
+    mixed = False
     for _ in range(rounds):
         gens = rng.sample(pool, rng.randint(1, 3))
         if rng.random() < 0.3:
             gens.append(tab.identity_index)
         members = tab.closure(gens)
+        # maps are built as a call starts, so this is what the call used
+        mapped = {g in tab._left_maps for g in gens if g != tab.identity_index}
+        mixed |= mapped == {True, False}
         assert members == _expected(tab, gens), (name, gens)
         h = len(members)
         orders.add(h)
@@ -51,6 +55,7 @@ def test_closure_matches_oracle(catalog, name, rounds):
         assert tab.closure(gens, bound=h - 1) is None
     assert len(orders) > 1
     assert tab.n in orders or name == "A7"
+    assert mixed                    # maps and itemgetters in one closure
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "A7"])
