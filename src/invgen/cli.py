@@ -271,20 +271,28 @@ def _render_table(data: dict) -> str:
     return "\n".join(lines)
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--catalog", type=str, default=None,
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--enum-cap", type=int,
-                        default=int(os.environ.get(ENV_ENUM_CAP,
-                                                   DEFAULT_ENUM_CAP)))
+                        default=_env_int(ENV_ENUM_CAP, DEFAULT_ENUM_CAP))
     common.add_argument("--lattice-cap", type=int,
-                        default=int(os.environ.get(ENV_LATTICE_CAP,
-                                                   DEFAULT_LATTICE_CAP)))
+                        default=_env_int(ENV_LATTICE_CAP, DEFAULT_LATTICE_CAP))
     common.add_argument("--subset-cap", type=int,
-                        default=int(os.environ.get(ENV_SUBSET_CAP,
-                                                   cheb.DEFAULT_SUBSET_CAP)))
+                        default=_env_int(ENV_SUBSET_CAP,
+                                         cheb.DEFAULT_SUBSET_CAP))
     ap = argparse.ArgumentParser(
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
@@ -344,9 +352,9 @@ def _check_numbers(args) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        # the cap defaults are read from the environment here
+        args = build_parser().parse_args(argv)
         _check_numbers(args)
         run = _Run(args)
         handler = {"analyze": cmd_analyze, "invgen": cmd_invgen,

@@ -173,3 +173,19 @@ def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_ASSERTION
     assert data == {"error": "assertion",
                     "reason": "class 5a uncovered: incomplete search"}
+
+
+@pytest.mark.parametrize("var", [cli.ENV_ENUM_CAP, cli.ENV_LATTICE_CAP,
+                                 cli.ENV_SUBSET_CAP])
+def test_non_integer_cap_variable_is_an_input_error(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    code, data = run_json(capsys, "analyze", "A5")
+    assert code == cli.EXIT_INPUT
+    assert data["error"] == "input"
+    assert var in data["reason"] and "'abc'" in data["reason"]
+
+
+def test_integer_cap_variable_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_ENUM_CAP, "10")
+    code, data = run_json(capsys, "analyze", "A5")
+    assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
