@@ -51,3 +51,46 @@ def test_large_catalog_subsets_against_sympy(catalog):
     for G in groups:
         answers |= _check_sampled(G, f"sympy {G.name}", 10)
     assert answers == {True, False}
+
+
+# -- structure of the catalog groups of order 168..20160 ---------------------
+
+LARGE = ["PSL(2,7)", "A6", "PSL(2,8)", "PSL(2,11)", "S6", "PGammaL(2,8)",
+         "A7", "S7", "A8"]
+
+
+def _sympy_group(perms):
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation([i - 1 for i in g.images]) for g in perms])
+
+
+def test_large_list_is_the_catalog_range(catalog):
+    assert sorted(LARGE) == sorted(e.name for e in catalog
+                                   if 168 <= e.expected_order <= 20160)
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_structure_against_sympy(get_group, name):
+    from conftest import STRUCT_CAP
+    from invgen.maximal import _factorize, _sylow_indices
+    from invgen.structure import is_nilpotent
+    from invgen.table import (conjugacy_classes, group_table,
+                              small_generating_indices)
+
+    G = get_group(name)
+    S = _sympy_group(G.generators)
+    assert G.order == S.order()
+    assert (sorted(c.size for c in conjugacy_classes(G).classes)
+            == sorted(len(c) for c in S.conjugacy_classes()))
+    # the normal closure of the generators' commutators, by GroupTable.closure
+    assert (families._derived_subgroup_bits(G).bit_count()
+            == S.derived_subgroup().order())
+    tab = group_table(G)
+    for p, e in _factorize(G.order).items():
+        members = _sylow_indices(tab, p, p ** e)
+        assert len(members) == S.sylow_subgroup(p).order() == p ** e
+        gens = small_generating_indices(tab, members)
+        assert tab.closure(gens) == sorted(members)
+        assert _sympy_group([tab.elements[i] for i in gens]).order() == p ** e
+    if G.order <= 5040:
+        assert is_nilpotent(G, cap=STRUCT_CAP) == S.is_nilpotent
