@@ -120,7 +120,6 @@ class GroupTable:
             m = self._left_maps.get(g)
             if m is None and self._left_uses.get(g, 0) >= n:
                 m = self._left_maps[g] = self._left_map(g)
-                del self._left_uses[g]
             if m is None:
                 getters.append(self._left_getter(g))
                 rented.append(g)
