@@ -7,14 +7,23 @@ import pytest
 
 from invgen import families
 from invgen.group import alternating_group, generates
+from invgen.maximal import _factorize, _sylow_indices
+from invgen.structure import is_nilpotent
+from invgen.table import (conjugacy_classes, group_table,
+                          small_generating_indices)
+
+from conftest import STRUCT_CAP
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 
+def _sympy_group(perms):
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation([i - 1 for i in g.images]) for g in perms])
+
+
 def _sympy_order(gens) -> int:
-    perms = [combinatorics.Permutation([i - 1 for i in g.images])
-             for g in gens]
-    return combinatorics.PermutationGroup(perms).order()
+    return _sympy_group(gens).order()
 
 
 def _check_sampled(G, seed, samples) -> set:
@@ -59,11 +68,6 @@ LARGE = ["PSL(2,7)", "A6", "PSL(2,8)", "PSL(2,11)", "S6", "PGammaL(2,8)",
          "A7", "S7", "A8"]
 
 
-def _sympy_group(perms):
-    return combinatorics.PermutationGroup(
-        [combinatorics.Permutation([i - 1 for i in g.images]) for g in perms])
-
-
 def test_large_list_is_the_catalog_range(catalog):
     assert sorted(LARGE) == sorted(e.name for e in catalog
                                    if 168 <= e.expected_order <= 20160)
@@ -71,12 +75,6 @@ def test_large_list_is_the_catalog_range(catalog):
 
 @pytest.mark.parametrize("name", LARGE)
 def test_structure_against_sympy(get_group, name):
-    from conftest import STRUCT_CAP
-    from invgen.maximal import _factorize, _sylow_indices
-    from invgen.structure import is_nilpotent
-    from invgen.table import (conjugacy_classes, group_table,
-                              small_generating_indices)
-
     G = get_group(name)
     S = _sympy_group(G.generators)
     assert G.order == S.order()

@@ -24,9 +24,8 @@ def _fresh_table(catalog, name: str) -> GroupTable:
 
 def _expected(tab: GroupTable, gens: list[int]) -> list[int]:
     perms = [tab.elements[i] for i in gens]
-    order = PermGroup(perms).order
-    members = (naive_closure(perms) if order <= NAIVE_MAX
-               else PermGroup(perms).elements())
+    H = PermGroup(perms)
+    members = naive_closure(perms) if H.order <= NAIVE_MAX else H.elements()
     return sorted(tab.index[p.images] for p in members)
 
 
