@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from invgen.group import (alternating_group, group_from_generators,
                           symmetric_group)
-from invgen.maximal import maximal_subgroups
-from invgen.perm import parse_cycles
+from invgen.maximal import _factorize, _sylow_indices, maximal_subgroups
+from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
                               is_normal_bits, quotient_group,
@@ -112,16 +113,18 @@ def test_cp_maximal_is_trivial():
 
 
 def test_trivial_group_no_maximals():
-    from invgen.perm import Perm
     G = group_from_generators([Perm.identity(1)])
     assert maximal_subgroups(G) == []
 
 
-def test_maximal_matches_lattice_route_small():
-    # independent route: maximal elements of the full subgroup lattice
+def test_maximal_matches_lattice_route_small(catalog, get_group):
+    # independent route: maximal elements of the full subgroup lattice, on
+    # a few hand-built groups and every catalog group of order <= 168
+    small = [get_group(e.name) for e in catalog if e.expected_order <= 168]
+    assert len(small) == 30
     for G in [mk("(1 2 3 4 5 6)", 6), symmetric_group(4),
               alternating_group(5), mk("(1 2 3 4);(1 3)", 4),
-              mk("(1 2 3 4 5);(2 3 5 4)", 5)]:
+              mk("(1 2 3 4 5);(2 3 5 4)", 5), *small]:
         records = subgroup_lattice(G)
         proper = [r for r in records if r.order < G.order]
         maximal_bits = [r.bits for r in proper
@@ -131,6 +134,17 @@ def test_maximal_matches_lattice_route_small():
         assert sum(m.class_size for m in ms) == len(maximal_bits)
         rep_bits = {m.rep_bits for m in ms}
         assert rep_bits <= set(maximal_bits)
+
+
+def test_sylow_subgroups_of_every_catalog_group(catalog, get_group):
+    # the sympy oracle covers order >= 168; this covers the whole catalog
+    for e in catalog:
+        G = get_group(e.name)
+        tab = group_table(G)
+        for p, k in _factorize(G.order).items():
+            members = _sylow_indices(tab, p, p ** k)
+            assert len(members) == p ** k, (e.name, p)
+            assert tab.closure(members) == members, (e.name, p)
 
 
 def test_class_size_times_normalizer_is_order():
@@ -218,6 +232,23 @@ def test_maximal_classes_match_atlas(name, get_group):
     from conftest import STRUCT_CAP
     ms = maximal_subgroups(get_group(name), cap=STRUCT_CAP)
     assert [(m.order, m.class_size) for m in ms] == ATLAS_MAXIMALS[name]
+
+
+@pytest.mark.parametrize("name", ["A6", "S6", "A7", "S7", "PSL(2,11)",
+                                  "PGammaL(2,8)", "AGL(1,13)"])
+def test_maximal_classes_survive_relabelling(name, get_group):
+    # conjugating the generators by a fixed permutation renumbers points and
+    # reorders the element table, but must leave the classes' invariants
+    G = get_group(name)
+    rng = random.Random(f"relabel {name}")
+    images = list(range(1, G.degree + 1))
+    rng.shuffle(images)
+    sigma = Perm(images)
+    H = group_from_generators([sigma.inverse() * g * sigma
+                               for g in G.generators])
+    assert H.order == G.order
+    assert ([(m.order, m.class_size, m.v) for m in maximal_subgroups(H)]
+            == [(m.order, m.class_size, m.v) for m in maximal_subgroups(G)])
 
 
 def test_caps_hold_whatever_the_call_history(get_group):

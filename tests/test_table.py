@@ -72,6 +72,16 @@ def test_mult_matches_perm_products(catalog, name):
         assert tab.mult(i, tab.inv(i)) == tab.identity_index
 
 
+@pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+def test_elem_conj_map_matches_perm_conjugation(catalog, name):
+    tab = _fresh_table(catalog, name)
+    rng = random.Random(f"conj {name}")
+    for gi in [tab.identity_index] + rng.sample(range(1, tab.n), 5):
+        g = tab.elements[gi]
+        want = [tab.index[(g.inverse() * x * g).images] for x in tab.elements]
+        assert tab.elem_conj_map(gi) == want, (name, gi)
+
+
 def test_trivial_group_of_degree_one():
     tab = GroupTable(PermGroup([Perm([1])]))
     assert tab.n == 1
@@ -80,6 +90,7 @@ def test_trivial_group_of_degree_one():
     assert tab.closure([0], bound=1) == [0]
     assert tab.closure([0], bound=0) is None
     assert tab.mult(0, 0) == 0
+    assert tab.elem_conj_map(0) == [0]
 
 
 def test_whole_group_closure_has_no_bound_surprises(catalog):
