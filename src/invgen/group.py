@@ -285,14 +285,15 @@ def generates(gens: Sequence[Perm], order: int) -> bool:
     """
     if not gens:
         return order == 1
-    return _subgroup_if_proper(gens, order) is None
+    return (_order_lower_bound(gens, order - 1) == order
+            or PermGroup(gens).order == order)
 
 
-def _subgroup_if_proper(gens: Sequence[Perm], order: int
-                        ) -> Optional[PermGroup]:
-    """None when <gens> has the given order (same guarantee as generates),
-    otherwise the exact PermGroup(gens), so that a caller that needs the
-    proper subgroup does not build it again."""
+def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
+    """A lower bound on |<gens>|, from sifting gens and then
+    product-replacement random elements of <gens> into an unverified chain;
+    it stops as soon as the bound is exceeded, or after _PR_MISSES
+    consecutive elements sift to the identity."""
     chain = StabChain(gens[0].degree)
     for g in gens:
         chain._absorb(g)
@@ -303,16 +304,13 @@ def _subgroup_if_proper(gens: Sequence[Perm], order: int
         rng = random.Random(hash(tuple(g.images for g in gens)))
         acc = Perm.identity(chain.degree)
         misses = 0
-        while chain.order() < order and misses < _PR_MISSES:
+        while chain.order() <= bound and misses < _PR_MISSES:
             i = rng.randrange(len(slots))
             j = rng.randrange(len(slots) - 1)
             slots[i] = slots[i] * slots[j + (j >= i)]
             acc = acc * slots[i]
             misses = 0 if chain._absorb(acc) else misses + 1
-    if chain.order() == order:
-        return None
-    exact = PermGroup(gens)
-    return None if exact.order == order else exact
+    return chain.order()
 
 
 def group_from_generators(gens: Sequence[Perm], name: str = "") -> PermGroup:

@@ -1,52 +1,57 @@
 """Exact conjugacy classes of maximal subgroups.
 
-The search has two complementary parts, together covering every maximal
-subgroup class of an enumerable group:
+The search is one chain over the primes of |G|.  Step p asks which maximal
+subgroups of order dividing D = |G| / prod(S), S the primes done before
+p, contain a fixed Sylow p-subgroup P.  Each step divides the bound by p,
+so the largest primes go first: they shrink it fastest for the later,
+costlier steps (BENCH_maximal.json has the orders measured).
 
-* Sylow-seeded intervals.  A maximal subgroup whose index is coprime to
-  some prime p contains a full Sylow p-subgroup, so its class shows up in
-  the interval [P, G] for a fixed Sylow P.  That interval is the join
-  closure of the single-step extensions <P, x> over coset representatives
-  of P, and is tiny in practice.
+* Sylow intervals.  A maximal subgroup of index coprime to p has a
+  conjugate in [P, G]; p's interval keeps the members of order dividing D.
+  - No class is lost.  A maximal M still missing has index divisible by
+    every prime in S (else an earlier step found it), so |M|, and the
+    order of every subgroup between P and M, divides D.
+  - The containment filter.  A maximal member H of the cut-down interval
+    that lies inside a found class is dropped; every other one is maximal
+    in G.  For a maximal M' > H of G contains P but is not in the cut-down
+    interval, so |M'| does not divide D: its index is coprime to some
+    prime in S, and its class was found at that prime.
 
-* Bounded small-subgroup sweep.  A maximal subgroup that escapes every
-  Sylow seed has index divisible by every prime factor of |G|, hence order
-  at most B = |G| / rad(|G|).  Every subgroup is generated by one Sylow
-  subgroup per prime dividing its order, so all subgroup classes of order
-  <= B arise as iterated bounded joins of p-subgroup classes (p-subgroup
-  classes come from the subgroups of a fixed Sylow, fused under G; join
-  conjugates range over normalizer orbits, i.e. double cosets).  Survivors
-  not inside an already-found maximal class are certified maximal by a
-  direct one-step extension scan.
+* Bounded sweep, the last step, with D = |G| / rad(|G|).  Every subgroup
+  is generated by one Sylow subgroup per prime dividing its order, so all
+  subgroup classes of order dividing D arise as iterated joins, of order
+  dividing D, of p-subgroup classes.  Those come from a fixed Sylow by
+  hyperplane descent, fused under G; join conjugates range over
+  normalizer orbits, i.e. double cosets.  Survivors not inside a found
+  class are certified maximal by a direct one-step extension scan.
 
-This dual search replaces the quadratic-in-subgroup-count full-lattice
-route, which is far out of reach for the larger catalog groups; the two
-routes are cross-checked against each other on small groups in the tests.
+The full-lattice route, quadratic in the number of subgroups, is far out
+of reach for the larger catalog groups; the tests cross-check the two
+routes on small groups.
 
 Representation.  Throughout the search a subgroup is the frozenset of its
 indices in G's element table: containment is `<=`, and conjugation maps a
-set through an index map, `frozenset(map(m.__getitem__, s))`.  Bitsets
-(ints) appear only in the public records, built once per final class.  The
-search conjugates constantly, and bitsets would make that 12 to 37 times
-slower, since each image bit is set in an int as wide as the table: in the
-20,160-element table of A8, conjugating a subgroup of 8 / 64 / 360 members
-took 0.6 / 3.5 / 18 us as a frozenset and 7.5 / 126 / 607 us as a bitset
-(CPython 3.11, one core of an Intel Xeon; the ratios ranged from 12 to 37
-over repeated runs).
+set through an index map.  Bitsets (ints) appear only in the public
+records, built once per final class: each image bit is set in an int as
+wide as the table, so conjugating a subgroup of 8 / 64 / 360 members of A8
+took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as a frozenset
+(CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over reruns).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup,
-                    _subgroup_if_proper, generates)
+                    _order_lower_bound, generates)
 from .table import (GroupTable, conjugacy_classes, group_table,
-                    indices_of_bits, small_generating_indices,
-                    subgroup_lattice)
+                    indices_of_bits, small_generating_indices)
 
 
 @dataclass(frozen=True)
@@ -146,25 +151,16 @@ def _normalizer_indices(tab, members: frozenset) -> list[int]:
 def _sylow_indices(tab, p: int, full: int) -> list[int]:
     """A Sylow p-subgroup as element indices.
 
-    Greedy absorption of p-elements: while the current p-subgroup Q is not
-    full, some p-element x (inside any Sylow overgroup of Q, e.g. in the
-    normalizer-growth chain) satisfies that <Q, x> is a bigger p-group, so
-    repeated passes terminate with a full Sylow subgroup.
+    Greedy absorption of p-elements, read off the conjugacy classes: while
+    the current p-subgroup Q is not full, some p-element x (inside any
+    Sylow overgroup of Q, e.g. in the normalizer-growth chain) satisfies
+    that <Q, x> is a bigger p-group, so repeated passes terminate with a
+    full Sylow subgroup.
     """
-    if full == 1:
-        return [tab.identity_index]
-    p_element_idx: set[int] = set()
-    for i, e in enumerate(tab.elements):
-        if i == tab.identity_index:
-            continue
-        o = e.order()
-        q = o
-        while q % p == 0:
-            q //= p
-        if q == o:
-            continue                    # order coprime to p
-        p_element_idx.add(i if q == 1 else tab.index[(e ** q).images])
-    candidates = sorted(p_element_idx)
+    ct = conjugacy_classes(tab.group)
+    p_class = [full % c.element_order == 0 and c.element_order > 1
+               for c in ct.classes]
+    candidates = [i for i, c in enumerate(ct.class_of) if p_class[c]]
     gens: list[int] = []
     members = {tab.identity_index}
     while len(members) < full:
@@ -186,56 +182,56 @@ def _sylow_indices(tab, p: int, full: int) -> list[int]:
     return sorted(members)
 
 
-def _interval_maximals(tab: GroupTable, sylow_members: list[int]
+def _interval_maximals(tab: GroupTable, sylow_members: list[int],
+                       divisor: int, found: list[set[frozenset]]
                        ) -> list[frozenset]:
-    """Maximal subgroups of G containing the given Sylow subgroup.
-
-    The interval [P, G] is the join closure of the one-step extensions
-    <P, x>; its maximal proper members are maximal in G outright, since any
-    overgroup of an interval member again contains P.  A candidate is a
-    list of generator indices; it is enumerated only when it generates a
-    proper subgroup that no recorded subgroup of the same order contains.
-    """
-    G = tab.group
+    """Maximal subgroups of G that contain the given Sylow subgroup P, have
+    order dividing `divisor` and lie in none of the found classes (module
+    docstring): the maximal members of the interval [P, G], cut down to
+    the proper members of order dividing the divisor, which is the join
+    closure of its one-step extensions <P, x>.  A random Schreier-Sims
+    lower bound above the divisor drops a candidate before any closure."""
+    bound = min(divisor, tab.n - 1)
     p_gens = (small_generating_indices(tab, sylow_members) or
               [tab.identity_index])
     proper = [(p_gens, frozenset(sylow_members))]
+    closed = {proper[0][1]}           # every subgroup closed, kept or not
 
-    def record(gens: list[int]) -> Optional[tuple[list[int], frozenset]]:
-        sub = _subgroup_if_proper([tab.elements[i] for i in gens], G.order)
-        if sub is None:
-            return None
-        if any(len(w) == sub.order and w.issuperset(gens) for _, w in proper):
-            return None
-        cand = (gens, frozenset(tab.index[p.images]
-                                for p in sub.chain.enumerate()))
-        proper.append(cand)
-        return cand
+    def record(gens: list[int]) -> None:
+        low = _order_lower_bound([tab.elements[i] for i in gens], bound)
+        # a closed subgroup holding gens, of order at most low, is <gens>
+        if low > bound or any(len(w) <= low and w.issuperset(gens)
+                              for w in closed):
+            return
+        members = tab.closure(gens, bound=bound)
+        sub = frozenset(members or ())
+        if members is not None and sub not in closed:
+            closed.add(sub)
+            if divisor % len(sub) == 0:
+                proper.append((gens, sub))
 
-    # scan double cosets P\G/P: <P, pxp'> = <P, x>, so one extension each
+    # scan double cosets P\G/P: <P, pxp'> = <P, x>, so one extension each;
+    # every element of PxP lies in <P, x>, so its order must divide divisor
+    ct = conjugacy_classes(tab.group)
+    fits = [divisor % c.element_order == 0 for c in ct.classes]
     assigned = set(sylow_members)
-    sylow_perms = [tab.elements[s] for s in sylow_members]
     for x in range(tab.n):
-        if x in assigned:
-            continue
-        px = tab.elements[x]
-        for s in sylow_perms:          # mark the double coset P*x*P
-            sx = s * px
-            for s2 in sylow_perms:
-                assigned.add(tab.index[(sx * s2).images])
-        record(p_gens + [x])
-    frontier = list(proper)
+        if x not in assigned:
+            pxp = tab.double_coset(sylow_members, x)
+            assigned |= pxp
+            if all(fits[ct.class_of[y]] for y in pxp):
+                record(p_gens + [x])
+    frontier = proper[1:]
     while frontier:
-        new = []
+        start = len(proper)
         for a_gens, a in frontier:
-            for b_gens, b in list(proper):
-                if a <= b or b <= a:
-                    continue
-                added = record(a_gens + b_gens)
-                if added is not None:
-                    new.append(added)
-        frontier = new
-    return [w for _, w in proper if not any(w < v for _, v in proper)]
+            for b_gens, b in proper[:]:
+                if not (a <= b or b <= a):
+                    record(a_gens + b_gens)
+        frontier = proper[start:]
+    return [w for _, w in proper
+            if not any(w < v for _, v in proper)
+            and not any(w <= m for o in found for m in o)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,42 +276,68 @@ class _ClassPool:
     def add(self, fs: frozenset) -> Optional[_ClassRec]:
         """Register a subgroup set; return the record if the class is new."""
         bucket = self.buckets.setdefault(self._key(fs), [])
-        for rec in bucket:
-            if fs in rec.orbit_set:
-                return None
+        if any(fs in rec.orbit_set for rec in bucket):
+            return None
         rec = _ClassRec(self.tab, fs)
         bucket.append(rec)
         self.all.append(rec)
         return rec
 
 
-def _sylow_subgroup_classes(tab, sylow_members: list[int], bound: int,
+def _sylow_subgroup_classes(tab, p: int, sylow_members: list[int],
                             pool: _ClassPool) -> list[_ClassRec]:
-    """All G-classes of nontrivial subgroups of the given Sylow, up to the
-    order bound (every p-subgroup is conjugate into the fixed Sylow)."""
+    """All G-classes of proper subgroups of the given Sylow P (every
+    p-subgroup is conjugate into it), by descent to maximal subgroups.
+    Every subgroup of P is reached from P by such steps, and a conjugate of
+    a step is a step, so descending from one member of each new G-class
+    reaches every class."""
     out: list[_ClassRec] = []
-    if len(sylow_members) == 1:
-        return out
-    sub = PermGroup([tab.elements[i]
-                     for i in small_generating_indices(tab, sylow_members)])
-    sub_elements = sub.elements()
-    for rec in subgroup_lattice(sub, cap=len(sylow_members)):
-        if rec.order == 1 or rec.order > bound:
-            continue
-        fs = frozenset(tab.index[sub_elements[i].images]
-                       for i in rec.member_indices())
-        new = pool.add(fs)
-        if new is not None:
-            out.append(new)
+    todo = [frozenset(sylow_members)]
+    while todo:
+        for m in _p_maximal_subgroups(tab, p, todo.pop()):
+            new = pool.add(m)
+            if new is not None:
+                out.append(new)
+                todo.append(m)
     return out
 
 
-def _bounded_join(tab, a: frozenset, b: frozenset, bound: int
+def _p_maximal_subgroups(tab, p: int, h: frozenset) -> list[frozenset]:
+    """The maximal subgroups of a p-group h: by Burnside's basis theorem,
+    the preimages of the hyperplanes of the F_p-space h/Phi(h)."""
+    gens = small_generating_indices(tab, sorted(h))
+    # Phi(h) = h^p [h, h]; [h, h] is generated by the [g, x] with g among
+    # h's generators, since modulo those every generator is central
+    phi_gens = set()
+    for x in h:
+        phi_gens.add(functools.reduce(tab.mult, [x] * p))
+        phi_gens.update(tab.mult(tab.mult(tab.inv(g), tab.inv(x)),
+                                 tab.mult(g, x)) for g in gens)
+    # coordinates in h/Phi over a basis drawn from the generators: a new
+    # basis element g over the span S so far gives g^t * s coordinates (s, t)
+    coords = dict.fromkeys(tab.closure(sorted(phi_gens)), ())
+    for g in gens:
+        if g not in coords:
+            span, y, coords = list(coords.items()), tab.identity_index, {}
+            for t in range(p):
+                coords.update((tab.mult(y, s), v + (t,)) for s, v in span)
+                y = tab.mult(y, g)
+    d = len(coords[tab.identity_index])
+    return [frozenset(x for x, v in coords.items()
+                      if sum(map(operator.mul, f, v)) % p == 0)
+            for f in itertools.product(range(p), repeat=d)
+            if next(filter(None, f), 0) == 1]    # one per hyperplane
+
+
+def _bounded_join(tab, a: frozenset, b: frozenset, divisor: int
                   ) -> Optional[frozenset]:
+    """<a, b> when its order divides the divisor, else None."""
     gens = (small_generating_indices(tab, sorted(a)) +
             small_generating_indices(tab, sorted(b)))
-    closure = tab.closure(gens, bound=bound)
-    return frozenset(closure) if closure is not None else None
+    closure = tab.closure(gens, bound=divisor)
+    if closure is None or divisor % len(closure):
+        return None
+    return frozenset(closure)
 
 
 def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[frozenset]
@@ -334,33 +356,25 @@ def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[frozenset]
 
 def _certify_maximal(tab, members: frozenset) -> bool:
     """Exact check: every one-step extension is the whole group."""
-    G = tab.group
     gens = [tab.elements[i]
             for i in small_generating_indices(tab, sorted(members))]
-    if not gens:
-        gens = [G.identity()]
     assigned = set(members)
     for x in range(tab.n):
-        if x in assigned:
-            continue
-        px = tab.elements[x]
-        for s in members:
-            assigned.add(tab.index[(tab.elements[s] * px).images])
-        if not generates(gens + [px], G.order):
-            return False
+        if x not in assigned:           # <M, y> = <M, x> for y in MxM
+            assigned |= tab.double_coset(members, x)
+            if not generates(gens + [tab.elements[x]], tab.n):
+                return False
     return True
 
 
-def _sweep_small_maximals(tab, bound: int, sylows: dict[int, list[int]],
+def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                           found_orbits: list[set[frozenset]]
                           ) -> list[frozenset]:
-    """Certified maximal subgroups of order <= bound whose classes are not
-    conjugate into any already-found maximal class."""
-    G = tab.group
-    class_of = conjugacy_classes(G).class_of
-    pool = _ClassPool(tab, class_of)
+    """Certified maximal subgroups of order dividing divisor = |G|/rad|G|
+    whose classes are not conjugate into any already-found maximal class."""
+    pool = _ClassPool(tab, conjugacy_classes(tab.group).class_of)
     per_prime: dict[int, list[_ClassRec]] = {
-        p: _sylow_subgroup_classes(tab, members, bound, pool)
+        p: _sylow_subgroup_classes(tab, p, members, pool)
         for p, members in sylows.items()}
     primes = sorted(per_prime)
     # every subgroup is the join of one Sylow per prime of its order, built
@@ -375,28 +389,19 @@ def _sweep_small_maximals(tab, bound: int, sylows: dict[int, list[int]],
                 if q <= top:
                     continue
                 for q_rec in per_prime[q]:
-                    if math.lcm(rec.order, q_rec.order) > bound:
+                    if divisor % math.lcm(rec.order, q_rec.order):
                         continue
                     # enumerate conjugators over the cheaper side's orbit
-                    if (len(rec.orbit_list) * rec.order <=
-                            len(q_rec.orbit_list) * q_rec.order):
-                        norm = q_rec.normalizer_gens(tab)
-                        moving, fixed = rec, q_rec
-                    else:
-                        norm = rec.normalizer_gens(tab)
-                        moving, fixed = q_rec, rec
+                    moving, fixed = sorted((rec, q_rec), key=lambda r: (
+                        len(r.orbit_list) * r.order))
+                    norm = fixed.normalizer_gens(tab)
                     for m_set in _norm_orbit_reps(tab, norm, moving.orbit_list):
-                        j = _bounded_join(tab, fixed.rep, m_set, bound)
-                        if j is None or j == fixed.rep:
-                            continue
-                        added = pool.add(j)
+                        j = _bounded_join(tab, fixed.rep, m_set, divisor)
+                        added = pool.add(j) if j and j != fixed.rep else None
                         if added is not None:
                             new_recs.append((added, q))
         frontier = new_recs
     # candidate filtering
-    trivial = frozenset([tab.identity_index])
-    if list(sylows) == [G.order]:               # |G| is prime
-        return [trivial] if _certify_maximal(tab, trivial) else []
     survivors = [rec for rec in pool.all
                  if not any(rec.rep <= m for o in found_orbits for m in o)]
     certified: list[frozenset] = []
@@ -430,24 +435,18 @@ def maximal_subgroups(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     ct = conjugacy_classes(G)
     fact = _factorize(G.order)
 
-    sylows: dict[int, list[int]] = {}
-    seed_maximals: list[frozenset] = []
-    for p, e in sorted(fact.items()):
-        members = _sylow_indices(tab, p, p ** e)
-        sylows[p] = members
-        if len(members) < G.order:
-            seed_maximals.extend(_interval_maximals(tab, members))
-
-    # dedup across prime seeds, materialize class orbits
+    sylows = {p: _sylow_indices(tab, p, p ** e) for p, e in fact.items()}
     orbits: list[set[frozenset]] = []
-    for w in seed_maximals:
-        if not any(w in o for o in orbits):
-            orbits.append(set(_subgroup_orbit(tab, w)))
-
-    bound = G.order // math.prod(fact)
-    for extra in _sweep_small_maximals(tab, bound, sylows, orbits):
-        if not any(extra in o for o in orbits):
-            orbits.append(set(_subgroup_orbit(tab, extra)))
+    divisor = G.order
+    for p in sorted(fact, reverse=True):
+        if len(sylows[p]) < G.order:
+            for w in _interval_maximals(tab, sylows[p], divisor, orbits):
+                if not any(w in o for o in orbits):
+                    orbits.append(set(_subgroup_orbit(tab, w)))
+        divisor //= p
+    # the sweep returns one member of each new class
+    orbits += [set(_subgroup_orbit(tab, w))
+               for w in _sweep_small_maximals(tab, divisor, sylows, orbits)]
 
     classes = []
     for orbit in orbits:

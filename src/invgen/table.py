@@ -82,23 +82,25 @@ class GroupTable:
     def elem_conj_map(self, gi: int) -> list[int]:
         """Index map of conjugation by element gi, cached.
 
-        Built without composing permutations: the image tuple of x^g
-        satisfies y[g(i)] = g(x(i)), one dict lookup per element.
+        One left-multiplication pass, by g^-1, gives a(x) = (g^-1 * x)^-1,
+        which is x^-1 * g; then x^g = g^-1 * x * g = a(a(x)).
         """
         cached = self._elem_conj_maps.get(gi)
         if cached is not None:
             return cached
-        g = self.elements[gi].images
-        index = self.index
-        out = [0] * self.n
-        y = [0] * len(g)
-        for xi, x in enumerate(self.elements):
-            xim = x.images
-            for i in range(len(g)):
-                y[g[i] - 1] = g[xim[i] - 1]
-            out[xi] = index[tuple(y)]
-        self._elem_conj_maps[gi] = out
+        gi_inv = self.inv(gi)
+        left = self._left_maps.get(gi_inv) or self._left_map(gi_inv)
+        a = list(map(self._inv_map.__getitem__, left))
+        out = self._elem_conj_maps[gi] = list(map(a.__getitem__, a))
         return out
+
+    def double_coset(self, members: Sequence[int], x: int) -> set[int]:
+        """Indices of the double coset H * e_x * H, for the subgroup H with
+        the given members, read off image tuples as in closure."""
+        xh = list(map(self._left_getter(x),
+                      [self.elements[h].images for h in members]))
+        return {self.index[get(y)] for get in map(self._left_getter, members)
+                for y in xh}
 
     def closure(self, gen_indices: Sequence[int], bound: Optional[int] = None
                 ) -> Optional[list[int]]:

@@ -9,8 +9,7 @@ import pytest
 
 from invgen import families, generation
 from invgen import group as group_mod
-from invgen.group import (PermGroup, _subgroup_if_proper, alternating_group,
-                          generates)
+from invgen.group import PermGroup, alternating_group, generates
 from invgen.perm import Perm, parse_cycles
 
 
@@ -54,15 +53,19 @@ def test_alternating_pair_generates(n, monkeypatch):
     assert generates([x, y, x], An.order)
 
 
-def test_proper_subgroup_of_a14_uses_the_exact_fallback():
+def test_proper_subgroup_of_a14_uses_the_exact_fallback(monkeypatch):
     A14 = alternating_group(14)
     a13 = [Perm(g.images + (14,)) for g in alternating_group(13).generators]
+    built = []
+
+    def spy(gens):
+        built.append(PermGroup(gens))
+        return built[-1]
+    monkeypatch.setattr(group_mod, "PermGroup", spy)
     assert not generates(a13, A14.order)
-    sub = _subgroup_if_proper(a13, A14.order)
-    assert isinstance(sub, PermGroup)
-    assert sub.order == A14.order // 14
-    assert _subgroup_if_proper(list(families.alternating_pair(14)),
-                               A14.order) is None
+    assert [H.order for H in built] == [A14.order // 14]
+    assert generates(list(families.alternating_pair(14)), A14.order)
+    assert len(built) == 1
 
 
 def test_helper_leaves_global_and_caller_streams_alone():

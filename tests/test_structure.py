@@ -1,11 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from invgen.group import (alternating_group, group_from_generators,
-                          symmetric_group)
-from invgen.maximal import _factorize, _sylow_indices, maximal_subgroups
+from invgen.group import (PermGroup, alternating_group,
+                          group_from_generators, power_group, symmetric_group)
+from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
+                            _p_maximal_subgroups, _subgroup_orbit,
+                            _sylow_indices, _sylow_subgroup_classes,
+                            maximal_subgroups)
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
@@ -145,6 +150,96 @@ def test_sylow_subgroups_of_every_catalog_group(catalog, get_group):
             members = _sylow_indices(tab, p, p ** k)
             assert len(members) == p ** k, (e.name, p)
             assert tab.closure(members) == members, (e.name, p)
+
+
+def test_p_maximal_subgroups_match_the_lattice(get_group):
+    # the Heisenberg group mod 3 has exponent 3: its Frattini subgroup is
+    # its commutator subgroup, with no help from cubes
+    heisenberg = mk("(1 2 3)(4 5 6)(7 8 9);(1 4 7)(2 5 8)(3 6 9);"
+                    "(4 5 6)(7 9 8)", 9)
+    assert heisenberg.order == 27
+    # hyperplane descent against the maximal members of the Sylow
+    # subgroup's own full lattice, mapped into G's table
+    for name in ["D8", "Q8", "C2^4", "S4", "A6", "PGammaL(2,8)", heisenberg]:
+        G = name if isinstance(name, PermGroup) else get_group(name)
+        tab = group_table(G)
+        for p, k in _factorize(G.order).items():
+            members = _sylow_indices(tab, p, p ** k)
+            P = group_from_generators([tab.elements[i] for i in members])
+            to_g = [tab.index[x.images] for x in P.elements()]
+            proper = [frozenset(to_g[i] for i in r.member_indices())
+                      for r in subgroup_lattice(P) if r.order < P.order]
+            want = {h for h in proper if not any(h < o for o in proper)}
+            got = _p_maximal_subgroups(tab, p, frozenset(members))
+            assert len(got) == len(want) and set(got) == want, (name, p)
+
+
+def _lattice_sets(G) -> list[frozenset]:
+    return [frozenset(r.member_indices()) for r in subgroup_lattice(G)]
+
+
+def test_cut_down_intervals_match_the_lattice(catalog, get_group):
+    # for every bound the chain can give p's interval, |G| over a product of
+    # other primes, the members of [P, G] of order dividing it, maximal
+    # among the proper ones, read off the full lattice
+    for e in catalog:
+        if e.expected_order > 168:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        subgroups = _lattice_sets(G)
+        fact = _factorize(G.order)
+        for p, k in fact.items():
+            P = frozenset(_sylow_indices(tab, p, p ** k))
+            if len(P) == G.order:
+                continue
+            others = [q for q in fact if q != p]
+            for r in range(len(others) + 1):
+                for done in itertools.combinations(others, r):
+                    divisor = G.order // math.prod(done)
+                    cut = [h for h in subgroups if P <= h
+                           and len(h) < G.order and divisor % len(h) == 0]
+                    want = {h for h in cut if not any(h < o for o in cut)}
+                    got = _interval_maximals(tab, sorted(P), divisor, [])
+                    assert sorted(got, key=sorted) == sorted(
+                        want, key=sorted), (e.name, p, divisor)
+
+
+def test_sylow_subgroup_classes_match_the_lattice(catalog, get_group):
+    # every G-class of proper subgroups of P, and each once, against the
+    # p-subgroups of the full lattice fused under conjugation
+    for e in catalog:
+        if e.expected_order > 168:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        for p, k in _factorize(G.order).items():
+            P = frozenset(_sylow_indices(tab, p, p ** k))
+            want = set()
+            for h in _lattice_sets(G):
+                if len(h) < len(P) and len(P) % len(h) == 0:
+                    want.add(min(_subgroup_orbit(tab, h), key=sorted))
+            pool = _ClassPool(tab, conjugacy_classes(G).class_of)
+            got = [min(r.orbit_list, key=sorted)
+                   for r in _sylow_subgroup_classes(tab, p, sorted(P), pool)]
+            assert len(got) == len(set(got)) and set(got) == want, (e.name, p)
+
+
+def test_sweep_finds_the_diagonals_of_a5_squared():
+    # the maximal subgroups of T x T, T nonabelian simple, are M x T, T x M
+    # (M maximal in T) and the diagonals {(t, t^a)}, one class per class of
+    # Out(T); for T = A5 a diagonal has index 60, divisible by every prime
+    # of |G|, so no Sylow interval holds one and only the sweep finds them
+    G = power_group(alternating_group(5), 2)
+    ms = maximal_subgroups(G)
+    assert [(m.order, m.class_size) for m in ms] == [
+        (720, 5), (720, 5), (600, 6), (600, 6), (360, 10), (360, 10),
+        (60, 60), (60, 60)]
+    tab = group_table(G)
+    for m in ms[-2:]:                 # a diagonal meets each factor trivially
+        projections = {tuple(tab.elements[i].images[:5])
+                       for i in m.member_indices()}
+        assert len(projections) == 60 and m.core_bits == 1
 
 
 def test_class_size_times_normalizer_is_order():
