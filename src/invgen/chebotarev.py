@@ -189,6 +189,22 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
+def _class_of_code(G: PermGroup) -> list[int]:
+    """The conjugacy class of every draw code, cached on G.
+
+    Code k is the k-th element of ``G.chain.enumerate()``, which is the
+    element ``G.random_element`` returns when its randrange results, read
+    as a mixed-radix number with the first call most significant, make k.
+    """
+    table = G._cache.get("class_of_code")
+    if table is None:
+        class_of = conjugacy_classes(G).class_of
+        index = group_table(G).index
+        table = [class_of[index[p.images]] for p in G.chain.enumerate()]
+        G._cache["class_of_code"] = table
+    return table
+
+
 def chebotarev_mc(G: PermGroup, trials: int, seed: int,
                   profile: Optional[IncidenceProfile] = None,
                   cap: int = DEFAULT_LATTICE_CAP) -> McEstimate:
@@ -198,29 +214,36 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
     strikes out the maximal classes whose union contains every draw so far;
     the trial stops when none survive.  Trial t uses its own generator
     derived from (seed, t), so results do not depend on scheduling.
+
+    A draw makes the randrange calls of ``G.random_element``, one per chain
+    level, deepest first, in the same order and on the same generator, but
+    folds them into a code and reads the class off a table over the codes
+    (``_class_of_code``) in place of building the element, so the stream of
+    draws is that of ``random_element``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if profile is None:
         profile = build_profile(G, cap=cap)
     ct = conjugacy_classes(G)
+    class_of_code = _class_of_code(G)
     full = (1 << profile.num_columns) - 1
-    row_of_class = [0] * len(ct.classes)
-    for ri, members in enumerate(profile.fused_members):
+    row_bits = [0] * len(ct.classes)
+    for row, members in zip(profile.rows, profile.fused_members):
         for ci in members:
-            row_of_class[ci] = ri
-    rows = profile.rows
-    class_of = ct.class_of
-    tab_index = group_table(G).index
+            row_bits[ci] = row
+    radices = [len(lv.orbit) for lv in reversed(G.chain.levels)]
     counts = []
     for t in range(trials):
-        rng = _trial_rng(seed, t)
+        randrange = _trial_rng(seed, t).randrange
         alive = full
         draws = 0
         while alive:
-            p = G.random_element(rng)
+            code = 0
+            for n in radices:
+                code = code * n + randrange(n)
             draws += 1
-            alive &= rows[row_of_class[class_of[tab_index[p.images]]]]
+            alive &= row_bits[class_of_code[code]]
         counts.append(draws)
     mean = sum(counts) / trials
     var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else 0.0

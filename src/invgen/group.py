@@ -206,7 +206,13 @@ class StabChain:
     # -- sampling / enumeration ---------------------------------------------
 
     def random_element(self, rng: random.Random) -> Perm:
-        """Exactly uniform: one independent transversal pick per base point."""
+        """Exactly uniform: one independent transversal pick per base point.
+
+        The picks are rng.randrange(len(orbit)) calls, deepest level first.
+        Read as a mixed-radix number with the first call most significant,
+        they make the code k of the result, which is ``enumerate()[k]``;
+        ``chebotarev_mc`` makes the same calls and reads the code alone.
+        """
         result = Perm.identity(self.degree)
         for lv in reversed(self.levels):
             pick = lv.transversal[lv.orbit[rng.randrange(len(lv.orbit))]]
@@ -214,6 +220,8 @@ class StabChain:
         return result
 
     def enumerate(self) -> list[Perm]:
+        """Every element, in code order: element k is the one random_element
+        returns when its randrange calls make the code k."""
         elems = [Perm.identity(self.degree)]
         for lv in reversed(self.levels):
             transversals = [lv.transversal[pt] for pt in lv.orbit]

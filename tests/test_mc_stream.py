@@ -5,15 +5,18 @@ draw; the estimator must keep every stream bit-identical.  The rerun and
 3-SE tests in test_chebotarev.py would not notice a changed stream.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from invgen import families
 from invgen.chebotarev import McEstimate, chebotarev_mc
 from invgen.cli import main
 from invgen.generation import build_profile
-from invgen.group import PermGroup, alternating_group, symmetric_group
+from invgen.group import (PermGroup, StabChain, alternating_group,
+                          symmetric_group)
 from invgen.perm import Perm
 from invgen.structure import fuse_classes_under
 
@@ -89,3 +92,43 @@ def test_random_element_is_enumerate_at_its_code(name, get_group):
                 code = code * n + rng2.randrange(n)
             assert G.random_element(rng1) == elements[code]
         assert rng1.getstate() == rng2.getstate()
+
+
+# -- call history and the code table -------------------------------------------
+
+def _profiles(G):
+    """A6's profiles: fused under S6, plain, and one on the last maximal
+    class alone, whose row bits differ from both."""
+    plain = build_profile(G)
+    fused = build_profile(G, fusion=fuse_classes_under(G, symmetric_group(6)))
+    last = plain.num_columns - 1
+    alone = dataclasses.replace(plain, num_columns=1, rows=tuple(
+        r >> last & 1 for r in plain.rows))
+    return {"fused": fused, "plain": plain, "last": alone}
+
+
+def test_mc_is_independent_of_call_history(catalog, monkeypatch):
+    entry = next(e for e in catalog if e.name == "A6")
+    G = families.instantiate(entry)
+    profiles = _profiles(G)
+    builds = []
+    enumerate_ = StabChain.enumerate
+
+    def counting(chain):
+        builds.append(chain)
+        return enumerate_(chain)
+
+    # the element table is built in _profiles; from here on an enumeration
+    # can only be the Monte Carlo code table
+    monkeypatch.setattr(StabChain, "enumerate", counting)
+    got = [chebotarev_mc(G, 300, seed=8, profile=profiles[kind])
+           for kind in ("fused", "plain", "fused", "last", "plain")]
+    assert len(builds) <= 1
+    monkeypatch.undo()
+    fresh = []
+    for kind in ("fused", "plain", "fused", "last", "plain"):
+        F = families.instantiate(entry)
+        fresh.append(chebotarev_mc(F, 300, seed=8, profile=_profiles(F)[kind]))
+    assert got == fresh
+    assert got[0] == got[2] and got[1] == got[4]
+    assert got[3].mean < got[1].mean      # one class dies sooner
