@@ -126,8 +126,6 @@ def _parse_check(spec: str, profile, G: PermGroup) -> list[int]:
 def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
     G = run.group()
     out: dict = {"group": G.name, "order": G.order}
-    family = cheb.distinct_tilde_family(G, cap=run.lattice_cap)
-    ratios_value = None
     if run.args.mc:
         seed = run.args.seed or DEFAULT_SEED_CONSTANT
         est = cheb.chebotarev_mc(G, run.args.trials, seed, cap=run.lattice_cap)
@@ -135,6 +133,7 @@ def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
                      "trials": est.trials, "seed": est.seed}
         ratios_value = est.mean
     else:
+        family = cheb.distinct_tilde_family(G, cap=run.lattice_cap)
         c = cheb.chebotarev_exact(family, cap=run.subset_cap)
         out["c_exact"] = {"num": c.numerator, "den": c.denominator}
         out["c_decimal"] = f"{float(c):.6f}"
@@ -143,7 +142,7 @@ def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
         out["ratios"] = {
             "c_over_sqrt_order": ratios_value / math.sqrt(G.order),
             "c_over_sqrt_order_log": ratios_value / math.sqrt(
-                G.order * math.log(G.order)) if G.order > 1 else None,
+                G.order * math.log(G.order)),
         }
     return out, EXIT_OK
 
