@@ -329,11 +329,11 @@ def _p_maximal_subgroups(tab, p: int, h: frozenset) -> list[frozenset]:
             if next(filter(None, f), 0) == 1]    # one per hyperplane
 
 
-def _bounded_join(tab, a: frozenset, b: frozenset, divisor: int
+def _bounded_join(tab, a_gens: list[int], b: frozenset, divisor: int
                   ) -> Optional[frozenset]:
-    """<a, b> when its order divides the divisor, else None."""
-    gens = (small_generating_indices(tab, sorted(a)) +
-            small_generating_indices(tab, sorted(b)))
+    """<a, b> when its order divides the divisor, else None; a_gens is
+    small_generating_indices of a, which the caller keeps for a loop."""
+    gens = a_gens + small_generating_indices(tab, sorted(b))
     closure = tab.closure(gens, bound=divisor)
     if closure is None or divisor % len(closure):
         return None
@@ -395,8 +395,9 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                     moving, fixed = sorted((rec, q_rec), key=lambda r: (
                         len(r.orbit_list) * r.order))
                     norm = fixed.normalizer_gens(tab)
+                    fixed_gens = small_generating_indices(tab, sorted(fixed.rep))
                     for m_set in _norm_orbit_reps(tab, norm, moving.orbit_list):
-                        j = _bounded_join(tab, fixed.rep, m_set, divisor)
+                        j = _bounded_join(tab, fixed_gens, m_set, divisor)
                         added = pool.add(j) if j and j != fixed.rep else None
                         if added is not None:
                             new_recs.append((added, q))
