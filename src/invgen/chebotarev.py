@@ -190,12 +190,8 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def _class_of_code(G: PermGroup) -> list[int]:
-    """The conjugacy class of every draw code, cached on G.
-
-    Code k is the k-th element of ``G.chain.enumerate()``, which is the
-    element ``G.random_element`` returns when its randrange results, read
-    as a mixed-radix number with the first call most significant, make k.
-    """
+    """The class index of every draw code, cached on G: code k stands for
+    element k of ``G.chain.enumerate()`` (``StabChain.random_element``)."""
     table = G._cache.get("class_of_code")
     if table is None:
         class_of = conjugacy_classes(G).class_of
