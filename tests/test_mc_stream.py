@@ -102,8 +102,9 @@ def _profiles(G):
     plain = build_profile(G)
     fused = build_profile(G, fusion=fuse_classes_under(G, symmetric_group(6)))
     last = plain.num_columns - 1
-    alone = dataclasses.replace(plain, num_columns=1, rows=tuple(
-        r >> last & 1 for r in plain.rows))
+    rows = tuple(r >> last & 1 for r in plain.rows)
+    alone = dataclasses.replace(plain, num_columns=1, rows=rows,
+                                kill=tuple(r ^ 1 for r in rows))
     return {"fused": fused, "plain": plain, "last": alone}
 
 
