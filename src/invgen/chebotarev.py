@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .generation import IncidenceProfile, build_profile
+from .generation import IncidenceProfile, build_profile, check_killable
 from .group import DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import maximal_subgroups
-from .table import conjugacy_classes, group_table, indices_of_bits
+from .table import conjugacy_classes, indices_of_bits
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -184,23 +184,6 @@ class McEstimate:
     seed: int
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    # fixed splitting rule: decorrelate trials while staying reproducible
-    return random.Random(seed * 1_000_003 + trial)
-
-
-def _class_of_code(G: PermGroup) -> list[int]:
-    """The class index of every draw code, cached on G: code k stands for
-    element k of ``G.chain.enumerate()`` (``StabChain.random_element``)."""
-    table = G._cache.get("class_of_code")
-    if table is None:
-        class_of = conjugacy_classes(G).class_of
-        index = group_table(G).index
-        table = [class_of[index[p.images]] for p in G.chain.enumerate()]
-        G._cache["class_of_code"] = table
-    return table
-
-
 def chebotarev_mc(G: PermGroup, trials: int, seed: int,
                   profile: Optional[IncidenceProfile] = None,
                   cap: int = DEFAULT_LATTICE_CAP) -> McEstimate:
@@ -208,38 +191,36 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
 
     Each trial draws uniform elements, maps them to conjugacy classes, and
     strikes out the maximal classes whose union contains every draw so far;
-    the trial stops when none survive.  Trial t uses its own generator
-    derived from (seed, t), so results do not depend on scheduling.
-
-    A draw makes the randrange calls of ``G.random_element``, one per chain
-    level, deepest first, in the same order and on the same generator, but
-    folds them into a code and reads the class off a table over the codes
-    (``_class_of_code``) in place of building the element, so the stream of
-    draws is that of ``random_element``.
+    the trial stops when none survive.  One generator, random.Random(seed),
+    runs the trials in order.  A draw is one randrange(|G|) call, read as an
+    index into the element table: indices and elements are in bijection, so
+    a uniform index is a uniform element.  The seed must be >= 0, since
+    Random seeds from |seed|.  A profile with a column that no row kills
+    raises ValueError, as d_i_exact does: no trial would ever stop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if profile is None:
         profile = build_profile(G, cap=cap)
+    check_killable(profile)
     ct = conjugacy_classes(G)
-    class_of_code = _class_of_code(G)
     full = (1 << profile.num_columns) - 1
     row_bits = [0] * len(ct.classes)
     for row, members in zip(profile.rows, profile.fused_members):
         for ci in members:
             row_bits[ci] = row
-    radices = [len(lv.orbit) for lv in reversed(G.chain.levels)]
+    rows = [row_bits[c] for c in ct.class_of]
+    randrange = random.Random(seed).randrange
+    n = G.order
     counts = []
-    for t in range(trials):
-        randrange = _trial_rng(seed, t).randrange
+    for _ in range(trials):
         alive = full
         draws = 0
         while alive:
-            code = 0
-            for n in radices:
-                code = code * n + randrange(n)
             draws += 1
-            alive &= row_bits[class_of_code[code]]
+            alive &= rows[randrange(n)]
         counts.append(draws)
     mean = sum(counts) / trials
     var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else 0.0

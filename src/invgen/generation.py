@@ -124,6 +124,18 @@ def profile_row_of(profile: IncidenceProfile, p: Perm) -> int:
 # exact minimal invariable generating number
 
 
+def check_killable(profile: IncidenceProfile) -> None:
+    """Raise ValueError when some column is killed by no row: then no set
+    of classes, and no set of elements, invariably generates."""
+    stuck = (1 << profile.num_columns) - 1
+    for k in profile.kill:
+        stuck &= ~k
+    if stuck:
+        c = (stuck & -stuck).bit_length() - 1
+        raise ValueError(f"column {c} cannot be killed; "
+                         "no set invariably generates")
+
+
 def d_i_exact(profile: IncidenceProfile) -> tuple[int, list[int]]:
     """Exact minimum cover of all maximal-class columns by kill sets.
 
@@ -136,31 +148,23 @@ def d_i_exact(profile: IncidenceProfile) -> tuple[int, list[int]]:
     full = (1 << ncols) - 1
     kills = profile.kill
     nrows = len(kills)
-    if full == 0:
-        return 0, []
+    check_killable(profile)
     killers_of_col = [[r for r in range(nrows) if (kills[r] >> c) & 1]
                       for c in range(ncols)]
-    for c in range(ncols):
-        if not killers_of_col[c]:
-            raise ValueError(f"column {c} cannot be killed; "
-                             "no set invariably generates")
 
-    # greedy upper bound
+    # greedy upper bound: every column has a killer, so it covers them all
     def greedy() -> list[int]:
         chosen: list[int] = []
         covered = 0
         while covered != full:
             best = max(range(nrows),
                        key=lambda r: ((kills[r] & ~covered).bit_count(), -r))
-            if not kills[best] & ~covered:
-                break
             chosen.append(best)
             covered |= kills[best]
         return chosen
 
     best_witness = sorted(greedy())
-    best_size = len(best_witness) if invariably_generates(profile, best_witness) \
-        else nrows + 1
+    best_size = len(best_witness)
 
     max_kill = max((k.bit_count() for k in kills), default=0)
 

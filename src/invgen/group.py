@@ -210,8 +210,7 @@ class StabChain:
 
         The picks are rng.randrange(len(orbit)) calls, deepest level first.
         Read as a mixed-radix number with the first call most significant,
-        they make the code k of the result, which is ``enumerate()[k]``;
-        ``chebotarev_mc`` makes the same calls and reads the code alone.
+        they make the code k of the result, which is ``enumerate()[k]``.
         """
         result = Perm.identity(self.degree)
         for lv in reversed(self.levels):

@@ -190,7 +190,8 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
     docstring): the maximal members of the interval [P, G], cut down to
     the proper members of order dividing the divisor, which is the join
     closure of its one-step extensions <P, x>.  A random Schreier-Sims
-    lower bound above the divisor drops a candidate before any closure."""
+    lower bound drops a candidate before any closure when it exceeds the
+    divisor or reaches the order of a closed subgroup holding it."""
     bound = min(divisor, tab.n - 1)
     p_gens = (small_generating_indices(tab, sylow_members) or
               [tab.identity_index])
@@ -198,10 +199,12 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
     closed = {proper[0][1]}           # every subgroup closed, kept or not
 
     def record(gens: list[int]) -> None:
-        low = _order_lower_bound([tab.elements[i] for i in gens], bound)
-        # a closed subgroup holding gens, of order at most low, is <gens>
-        if low > bound or any(len(w) <= low and w.issuperset(gens)
-                              for w in closed):
+        # <gens> lies in the least closed subgroup w holding gens, and is w
+        # once its order reaches |w|
+        w = min((w for w in closed if w.issuperset(gens)), key=len,
+                default=None)
+        most = bound if w is None else min(bound, len(w) - 1)
+        if _order_lower_bound([tab.elements[i] for i in gens], most) > most:
             return
         members = tab.closure(gens, bound=bound)
         sub = frozenset(members or ())

@@ -15,7 +15,8 @@ from .maximal import MaximalClass, maximal_subgroups, v_of
 from .perm import Perm
 from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
                     conjugacy_classes, group_table, indices_of_bits,
-                    small_generating_indices, subgroup_lattice)
+                    largest_proper_divisor, small_generating_indices,
+                    subgroup_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -23,10 +24,14 @@ from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
 
 
 def normal_closure_bits(tab: GroupTable, seed_indices: Sequence[int]) -> int:
-    """Bitset of the normal closure of the given elements."""
+    """Bitset of the normal closure of the given elements.  A closure past
+    the largest proper divisor of |G| is G, so it stops there."""
+    bound = largest_proper_divisor(tab.n)
     gens = list(dict.fromkeys(seed_indices))
     while True:
-        members = tab.closure(gens)
+        members = tab.closure(gens, bound=bound)
+        if members is None:
+            return (1 << tab.n) - 1
         member_set = set(members)
         new = []
         for m in tab.conj_maps():
@@ -87,20 +92,17 @@ def minimal_normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP
                              ) -> list[SubgroupRecord]:
     """Inclusion-minimal nontrivial normal subgroups, canonically ordered.
 
-    Found as normal closures of single conjugacy classes; every minimal
-    normal subgroup is the closure of any of its nonidentity elements.
+    Found as normal closures of the classes of prime-order elements: every
+    minimal normal subgroup is the closure of any of its nonidentity
+    elements, and it holds one of prime order.
     """
     tab = group_table(G, cap=cap)
     ct = conjugacy_classes(G, cap=cap)
-    closures: dict[int, int] = {}
-    for c in ct.classes[1:]:
-        bits = normal_closure_bits(tab, [c.rep_index])
-        closures[bits] = bits.bit_count()
-    minimal = []
-    for bits, order in closures.items():
-        if not any(other != bits and bits | other == bits for other in closures):
-            minimal.append((order, bits))
-    minimal.sort()
+    closures = {normal_closure_bits(tab, [c.rep_index]) for c in ct.classes[1:]
+                if largest_proper_divisor(c.element_order) == 1}  # prime order
+    minimal = sorted(
+        (bits.bit_count(), bits) for bits in closures
+        if not any(other != bits and bits | other == bits for other in closures))
     out = []
     for order, bits in minimal:
         gens = small_generating_indices(tab, indices_of_bits(bits))

@@ -184,18 +184,25 @@ def group_table(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> GroupTable:
     return tab
 
 
+def largest_proper_divisor(n: int) -> int:
+    """n over its least prime factor (1 for n = 1).  A subgroup of a group
+    of order n that is larger than this is the whole group."""
+    return n // next((p for p in range(2, n + 1) if n % p == 0), 1)
+
+
 def small_generating_indices(tab: GroupTable, members: Sequence[int]) -> list[int]:
     """A short generating list for the subgroup with the given members."""
-    target = len(members)
+    bound = largest_proper_divisor(len(members))
     gens: list[int] = []
     have = {tab.identity_index}
     for i in members:
         if i in have:
             continue
         gens.append(i)
-        have = set(tab.closure(gens))
-        if len(have) == target:
+        closed = tab.closure(gens, bound=bound)
+        if closed is None:        # past the bound: <gens> is the subgroup
             break
+        have = set(closed)
     return gens
 
 

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from invgen.chebotarev import (chebotarev_exact, chebotarev_mc,
-                               chebotarev_partial_sum, distinct_tilde_family,
-                               p_i_exact, p_i_sandwich_check,
-                               theorem2_ratio_report)
+from invgen.chebotarev import (DistinctTildeFamily, chebotarev_exact,
+                               chebotarev_mc, chebotarev_partial_sum,
+                               distinct_tilde_family, p_i_exact,
+                               p_i_sandwich_check, theorem2_ratio_report)
+from invgen.generation import build_profile, d_i_exact
 from invgen.group import alternating_group, group_from_generators, \
     symmetric_group
 from invgen.maximal import maximal_subgroups
 from invgen.perm import parse_cycles
+from invgen.structure import conjugacy_classes, fuse_classes_under
 
 from oracles import exhaustive_p_i
 
@@ -161,6 +163,53 @@ def test_mc_matches_exact_a5():
     assert abs(est.mean - 91 / 22) <= 3 * est.std_error
 
 
+def _exact_c_of_profile(profile):
+    """C(G) for draws judged by the profile's rows: column j survives a draw
+    whose (fused) row has bit j, so its set is those rows' plain classes."""
+    G = profile.group
+    sets = set()
+    for j in range(profile.num_columns):
+        bits = 0
+        for row, members in zip(profile.rows, profile.fused_members):
+            if row >> j & 1:
+                for ci in members:
+                    bits |= 1 << ci
+        sets.add(bits)
+    sizes = tuple(c.size for c in conjugacy_classes(G).classes)
+    family = DistinctTildeFamily(group=G, sets=tuple(sorted(sets)),
+                                 densities=(), provenance=(),
+                                 class_sizes=sizes)
+    return chebotarev_exact(family)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "AGL(1,7)", "A6 under S6"])
+def test_mc_within_4se_of_exact(name, get_group):
+    if name == "A6 under S6":
+        G = get_group("A6")
+        profile = build_profile(G, fusion=fuse_classes_under(
+            G, symmetric_group(6)))
+    else:
+        G = get_group(name)
+        profile = build_profile(G)
+        assert _exact_c_of_profile(profile) == \
+            chebotarev_exact(distinct_tilde_family(G))
+    c = _exact_c_of_profile(profile)
+    est = chebotarev_mc(G, 20_000, seed=11, profile=profile)
+    assert abs(est.mean - float(c)) <= 4 * est.std_error
+
+
+def test_mc_raises_on_a_column_no_row_kills():
+    # V4 fused under S4: every row meets all three maximal classes, so no
+    # trial could ever stop
+    V = mk("(1 2)(3 4);(1 3)(2 4)", 4)
+    p = build_profile(V, fusion=fuse_classes_under(V, symmetric_group(4)))
+    assert p.rows == (0b111, 0b111)
+    with pytest.raises(ValueError, match="column 0 cannot be killed"):
+        d_i_exact(p)
+    with pytest.raises(ValueError, match="column 0 cannot be killed"):
+        chebotarev_mc(V, 1, 1, profile=p)
+
+
 def test_mc_bit_identical_reruns():
     G = alternating_group(5)
     assert chebotarev_mc(G, 2000, seed=42) == chebotarev_mc(G, 2000, seed=42)
@@ -170,6 +219,12 @@ def test_mc_bit_identical_reruns():
 def test_mc_requires_positive_trials():
     with pytest.raises(ValueError):
         chebotarev_mc(alternating_group(5), 0, seed=1)
+
+
+def test_mc_requires_nonnegative_seed():
+    # Random seeds from |seed|: -1 would repeat seed 1's stream
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        chebotarev_mc(alternating_group(5), 10, seed=-1)
 
 
 # -- ratio reports -------------------------------------------------------------

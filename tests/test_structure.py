@@ -14,8 +14,8 @@ from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
-                              is_normal_bits, quotient_group,
-                              subgroup_lattice, v_of)
+                              is_normal_bits, minimal_normal_subgroups,
+                              quotient_group, subgroup_lattice, v_of)
 
 from oracles import naive_conjugacy_classes, naive_subgroup_lattice
 
@@ -367,6 +367,27 @@ def test_caps_hold_whatever_the_call_history(get_group):
 
 
 # -- quotients and chief series ---------------------------------------------
+
+def test_minimal_normal_subgroups_match_every_class_rule(catalog, get_group):
+    """Reference rule: the normal closure of a class is the subgroup its
+    members generate; the minimal normal subgroups are the inclusion-minimal
+    closures over every nonidentity class."""
+    for entry in catalog:
+        if entry.expected_order > 168:
+            continue
+        G = get_group(entry.name)
+        tab = group_table(G)
+        ct = conjugacy_classes(G)
+        closures = {tab.bits_of(tab.closure(
+            [i for i in range(tab.n) if c.bits >> i & 1]))
+            for c in ct.classes[1:]}
+        want = sorted((b.bit_count(), b) for b in closures
+                      if not any(o != b and o | b == b for o in closures))
+        got = minimal_normal_subgroups(G)
+        assert [(n.order, n.bits) for n in got] == want, entry.name
+        for n in got:
+            assert tab.bits_of(tab.closure(n.gen_indices)) == n.bits
+
 
 def test_quotient_s4_by_v4():
     s4 = symmetric_group(4)
