@@ -1,10 +1,12 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from invgen.group import (CapExceeded, PermGroup, alternating_group,
-                          embed_tuple, group_from_generators, power_group,
+from invgen.group import (CapExceeded, PermGroup, _order_lower_bound,
+                          alternating_group, embed_tuple,
+                          group_from_generators, power_group,
                           project_component, symmetric_group)
 from invgen.perm import Perm, parse_cycles
 
@@ -153,3 +155,122 @@ def test_symmetric_alternating_orders():
         assert symmetric_group(n).order == math.factorial(n)
     for n in range(3, 10):
         assert alternating_group(n).order == math.factorial(n) // 2
+
+
+# -- pinned stabilizer chains --------------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _chain_view(chain):
+    """(base, orbit, transversal images) of each level, points 1-based.
+
+    A chain that stores Perms counts points from 1; one that stores image
+    tuples counts them from 0.  The pins below were recorded on the Perm
+    chain and must hold for both."""
+    view = []
+    for lv in chain.levels:
+        one = 0 if isinstance(lv.transversal[lv.base], Perm) else 1
+
+        def images(t):
+            return t.images if one == 0 else tuple(i + 1 for i in t)
+
+        for p in lv.orbit:
+            t, u = lv.transversal[p], lv.inv_transversal[p]
+            assert Perm(images(t)) * Perm(images(u)) == Perm.identity(
+                chain.degree)
+            assert Perm(images(t))(lv.base + one) == p + one
+        view.append((lv.base + one, [p + one for p in lv.orbit],
+                     [images(lv.transversal[p]) for p in lv.orbit]))
+    return view
+
+
+# name -> (bases, orbits or their digest, transversal digest, draws digest)
+CHAIN_PINS = {
+    "S4": ([1, 2, 3], [[1, 2, 3, 4], [2, 4, 3], [3, 4]],
+           "72f75ed37f96a81e7bf1a59894397b5164af27109e31561ff12f806f3dc23fd1",
+           "81ad4621b2aceb177496442073c92b3de207bd50ca7fc5c09cf8c1646c9fab3f"),
+    "A5": ([1, 3, 2], [[1, 2, 3, 4, 5], [3, 4, 5, 2], [2, 4, 5]],
+           "391f76faccf4ff4f8918b6b4da281e081139af809ef49a9d14eb0fe80121450c",
+           "faed43a72035a6f7a77a0826792566a9057df55630a5e95d3cfcf259e45bb1e4"),
+    "PSL(2,7)": (
+        [1, 2, 3], [[1, 2, 8, 3, 7, 4, 6, 5], [2, 8, 7, 3, 4, 6, 5], [3, 7, 8]],
+        "3d108f02de5b30d9a5c3c375f222c2abc388b4f7ee44f18a35df85c5451fd6e6",
+        "2d77986e0447626c8a170116e570a59dd8ad6970b5560e5b05449f91faa7b973"),
+    "AGL(1,13)": (
+        [1, 2], [[1, 2, 3, 4, 5, 7, 6, 9, 8, 13, 11, 10, 12],
+                 [2, 3, 5, 9, 4, 7, 13, 12, 10, 6, 11, 8]],
+        "542c198aefffd3e69de8a378f2697ff87d5a507d9c51684161f891f8db773872",
+        "46890bc1379dfa1b712f3a3b681e61676ff98a839d64af9715b96068c08d5af2"),
+    "A9": (
+        [1, 3, 2, 4, 7, 6, 5],
+        "a27c59452e5cc77763eeafba55ddc868f7293aaf953de61f587e17f4d18b45b1",
+        "230c3dad5f72bd562227f7f965f3b3e0445ee6f8a97152d76867a187ab305fe4",
+        "99317f2ad342a4656216ee37d707e7c802f0dc2dd8fb9bc9874d4d5284faedfc"),
+    "A5^3": (
+        [1, 3, 2, 6, 8, 7, 11, 13, 12],
+        "aafa419c15962408008894b73811108674149937e06fae44e1f90705a7aaa5e2",
+        "2400a67f5d2dec5f5af78433294ef232cae24b404dc603ad6b17995d2954536e",
+        "3ea9d78754ffb560689a7c492c64a2fb02adee6f7a1be38cdac3b358429a7741"),
+}
+
+
+def _pinned_group(name, get_group):
+    if name == "A9":
+        return alternating_group(9)
+    if name == "A5^3":
+        return power_group(alternating_group(5), 3)
+    return get_group(name)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_PINS))
+def test_pinned_chain(name, get_group):
+    """Bases, orbit order, transversal elements and the random_element
+    stream of the deterministic Schreier-Sims chain."""
+    G = _pinned_group(name, get_group)
+    bases, orbits, transversals, draws = CHAIN_PINS[name]
+    view = _chain_view(G.chain)
+    assert [b for b, _, _ in view] == bases
+    got_orbits = [o for _, o, _ in view]
+    assert (got_orbits if isinstance(orbits, list)
+            else _digest(got_orbits)) == orbits
+    assert _digest([t for _, _, t in view]) == transversals
+    rng = random.Random(7)
+    assert _digest([G.random_element(rng).images
+                    for _ in range(20)]) == draws
+
+
+def _lower_bounds(G, rng, subsets):
+    """_order_lower_bound on seeded 1-3-element subsets of G, bounded by
+    |G| - 1 (as generates does) and by |G| // p for each prime p dividing
+    |G| (as the interval search does)."""
+    primes = [p for p in range(2, G.degree + 1)
+              if G.order % p == 0 and all(p % q for q in range(2, p))]
+    out = []
+    for _ in range(subsets):
+        gens = [G.random_element(rng) for _ in range(rng.randint(1, 3))]
+        out.append(_order_lower_bound(gens, G.order - 1))
+        out.extend(_order_lower_bound(gens, G.order // p) for p in primes)
+    return out
+
+
+@pytest.mark.parametrize("n, pin", [
+    (9, "ca2d74edf6c1f786ae2bc01ad707996ef7fff1bc161e65bbdbe4a46f079d2245"),
+    (10, "28050a7c2260fcf2f631ab140337ba2b2d58208ef86735c2aa327efa9852fd53"),
+    (11, "18847d8f5fc8bfbc9d58d2d72d7b2c9560d521e8dc202d397d2f807e27735242"),
+    (12, "07ac03f629a577714223190c3bebee394e87df9604ec3aad2e4506dbdac6526f"),
+])
+def test_pinned_order_lower_bound_alternating(n, pin):
+    G = alternating_group(n)
+    bounds = _lower_bounds(G, random.Random(f"lower bound A{n}"), 12)
+    assert all(1 <= b <= G.order for b in bounds)
+    assert _digest(bounds) == pin
+
+
+def test_pinned_order_lower_bound_catalog(catalog, get_group):
+    bounds = [_lower_bounds(get_group(e.name),
+                            random.Random(f"lower bound {e.name}"), 6)
+              for e in catalog]
+    assert _digest(bounds) == ("ec168aededb9b5199bf85f93b2fcf44b"
+                               "4edbf176f84526314bf5c65ee54fde08")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from invgen.perm import Perm, format_cycles, parse_cycles
@@ -94,6 +96,12 @@ def test_conjugate():
     p = parse_cycles("(1 2 3)", 4)
     g = parse_cycles("(3 4)", 4)
     assert p.conjugate(g) == parse_cycles("(1 2 4)", 4)
+    rng = random.Random(7)
+    points = list(range(1, 8))
+    for _ in range(200):
+        x = Perm(rng.sample(points, 7))
+        g = Perm(rng.sample(points, 7))
+        assert x.conjugate(g) == g.inverse() * x * g
 
 
 def test_not_a_bijection_rejected():
