@@ -7,6 +7,18 @@ level, orbits are explored breadth-first in point order, and generators are
 processed in input order.  Equal inputs therefore always produce identical
 chains, orders, element tables and random streams.
 
+The chain has one kernel, shared by the exact Schreier-Sims (PermGroup) and
+the unverified chain of generates().  Inside it a point is 0-based and an
+element is its image tuple, so the product "a, then b" is one C-level
+tuple(map(b.__getitem__, a)); no Perm is built inside the chain.  Each
+stored generator keeps its inverse, so a new orbit point costs two products:
+its transversal t*g and the inverse transversal g^-1 * t^-1.  Level i's
+group fixes the i base points before it, so its orbit is complete once it
+holds the other n - i points; the breadth-first search then stops, and a
+new generator skips the level.  Perms appear only at the boundary: the
+arguments of extend, contains and _order_lower_bound, and the results of
+random_element and enumerate.
+
 generates(gens, order) answers "does <gens> have this order?" for a caller
 that guarantees every element of gens lies in a group of that order, i.e.
 "does gens generate that group?".  It sifts gens and then product-replacement
@@ -24,7 +36,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .perm import Perm
+from .perm import Perm, _fast_perm
 
 DEFAULT_ENUM_CAP = 200_000       # largest group whose elements are listed
 DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
@@ -45,24 +57,37 @@ class _Level:
 
     def __init__(self, base: int):
         self.base = base
-        self.gens: list[Perm] = []      # generators first registered here
+        # generators first registered here, each with its inverse
+        self.gens: list[tuple[tuple, tuple]] = []
         self.orbit: list[int] = [base]
-        self.transversal: dict[int, Perm] = {}
-        self.inv_transversal: dict[int, Perm] = {}
+        self.transversal: dict[int, tuple] = {}
+        self.inv_transversal: dict[int, tuple] = {}
         self.verified = False
 
 
 class StabChain:
-    """Deterministic stabilizer chain.
+    """Deterministic stabilizer chain over 0-based image tuples.
 
     Level i stores the generators that first stabilize the base prefix
     b_0..b_{i-1}; the group of level i is generated by everything stored at
     levels >= i, and its orbit/transversal are computed over that full set.
+    Points are 0-based and an element is the tuple t with t[p] the image of
+    p (module docstring).
     """
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._ident = tuple(range(degree))
+
+    def _tuple(self, p: Perm) -> tuple:
+        if p.degree != self.degree:
+            raise ValueError("degree mismatch")
+        return tuple(map(range(-1, self.degree).__getitem__, p.images))
+
+    def _perm(self, t: tuple) -> Perm:
+        return _fast_perm(tuple(map(range(1, self.degree + 1).__getitem__,
+                                    t)))
 
     # -- queries -----------------------------------------------------------
 
@@ -73,31 +98,31 @@ class StabChain:
         return n
 
     def contains(self, p: Perm) -> bool:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return self._sift_from(0, p).is_identity()
+        return self._sift_from(0, self._tuple(p)) == self._ident
 
     # -- construction --------------------------------------------------------
 
     def extend(self, p: Perm) -> None:
-        res = self._sift_from(0, p)
-        if res.is_identity():
+        res = self._sift_from(0, self._tuple(p))
+        if res == self._ident:
             return
         changed = self._register(res)
         self._close(changed)
 
-    def _register(self, res: Perm) -> int:
-        """Store a sifted residue at the level it belongs to; return it."""
+    def _register(self, res: tuple) -> int:
+        """Store a sifted residue, with its inverse, at the level it belongs
+        to; return that level."""
+        inverse = tuple(sorted(self._ident, key=res.__getitem__))
         for i, lv in enumerate(self.levels):
-            if res(lv.base) != lv.base:
-                lv.gens.append(res)
+            if res[lv.base] != lv.base:
+                lv.gens.append((res, inverse))
                 return i
-        lv = _Level(min(res.moved_points()))
-        lv.gens.append(res)
+        lv = _Level(next(p for p, q in enumerate(res) if p != q))
+        lv.gens.append((res, inverse))
         self.levels.append(lv)
         return len(self.levels) - 1
 
-    def _visible(self, i: int) -> list[Perm]:
+    def _visible(self, i: int) -> list[tuple[tuple, tuple]]:
         out = []
         for lv in self.levels[i:]:
             out.extend(lv.gens)
@@ -105,58 +130,62 @@ class StabChain:
 
     def _recompute_orbit(self, i: int) -> None:
         lv = self.levels[i]
-        ident = Perm.identity(self.degree)
-        lv.transversal = {lv.base: ident}
-        lv.inv_transversal = {lv.base: ident}
+        lv.transversal = {lv.base: self._ident}
+        lv.inv_transversal = {lv.base: self._ident}
         lv.orbit = [lv.base]
         self._grow_orbit(i, 0, ())
 
-    def _grow_orbit(self, i: int, closed: int, new: Sequence[Perm]) -> None:
+    def _grow_orbit(self, i: int, closed: int,
+                    new: Sequence[tuple[tuple, tuple]]) -> None:
         """Close level i's orbit under its visible generators, breadth-first,
         given that its first `closed` points are closed under all of them
-        except those in `new`."""
+        except those in `new`.  The search stops once the orbit holds
+        degree - i points: level i's group fixes the i earlier base points."""
         lv = self.levels[i]
-        gens = self._visible(i)
         orbit, trans, inv = lv.orbit, lv.transversal, lv.inv_transversal
-        k = 0
-        while k < len(orbit):
-            pt = orbit[k]
-            t = trans[pt]
-            for g in gens if k >= closed else new:
-                img = g(pt)
+        room = self.degree - i - len(orbit)
+        if not room:
+            return
+        gens = self._visible(i)
+        for k, pt in enumerate(orbit):          # also visits appended points
+            t, t_inv = trans[pt], inv[pt]
+            for g, g_inv in gens if k >= closed else new:
+                img = g[pt]
                 if img not in trans:
-                    tg = t * g
-                    trans[img] = tg
-                    inv[img] = tg.inverse()
+                    trans[img] = tuple(map(g.__getitem__, t))
+                    inv[img] = tuple(map(t_inv.__getitem__, g_inv))
                     orbit.append(img)
-            k += 1
+                    room -= 1
+                    if not room:
+                        return
 
-    def _sift_from(self, level: int, p: Perm) -> Perm:
+    def _sift_from(self, level: int, p: tuple) -> tuple:
         for lv in self.levels[level:]:
-            img = p(lv.base)
+            img = p[lv.base]
             if img == lv.base:
                 continue
             t_inv = lv.inv_transversal.get(img)
             if t_inv is None:
                 return p
-            p = p * t_inv
+            p = tuple(map(t_inv.__getitem__, p))
         return p
 
-    def _absorb(self, p: Perm) -> bool:
+    def _absorb(self, p: tuple) -> bool:
         """Store p's residue, if it has one, and extend the orbits of the
         levels it joins, without Schreier verification; say whether the
         chain grew.  Points already in an orbit keep their transversal
         elements, so a level's orbit order can differ from a recomputed one.
         """
         res = self._sift_from(0, p)
-        if res.is_identity():
+        if res == self._ident:
             return False
-        for i in range(self._register(res) + 1):
-            lv = self.levels[i]
-            if lv.transversal:
-                self._grow_orbit(i, len(lv.orbit), (res,))
-            else:                         # the level res just opened
+        at = self._register(res)
+        new = self.levels[at].gens[-1:]
+        for i, lv in enumerate(self.levels[:at + 1]):
+            if not lv.transversal:        # the level res just opened
                 self._recompute_orbit(i)
+            elif len(lv.orbit) < self.degree - i:
+                self._grow_orbit(i, len(lv.orbit), new)
         return True
 
     def _close(self, dirty_from: int) -> None:
@@ -188,18 +217,21 @@ class StabChain:
                 return i
         return None
 
-    def _verify_level(self, i: int) -> Optional[Perm]:
+    def _verify_level(self, i: int) -> Optional[tuple]:
         """Return a non-member Schreier residue of level i, or None."""
         lv = self.levels[i]
         gens = self._visible(i)
+        trans, inv = lv.transversal, lv.inv_transversal
         for pt in lv.orbit:
-            t = lv.transversal[pt]
-            for g in gens:
-                sch = t * g * lv.inv_transversal[g(pt)]
-                if sch.is_identity():
+            t = trans[pt]
+            for g, _ in gens:
+                # t * g * inv_transversal[g(pt)]
+                sch = tuple(map(inv[g[pt]].__getitem__,
+                                map(g.__getitem__, t)))
+                if sch == self._ident:
                     continue
                 res = self._sift_from(i + 1, sch)
-                if not res.is_identity():
+                if res != self._ident:
                     return res
         return None
 
@@ -212,20 +244,28 @@ class StabChain:
         Read as a mixed-radix number with the first call most significant,
         they make the code k of the result, which is ``enumerate()[k]``.
         """
-        result = Perm.identity(self.degree)
+        result = self._ident
         for lv in reversed(self.levels):
             pick = lv.transversal[lv.orbit[rng.randrange(len(lv.orbit))]]
-            result = result * pick
-        return result
+            result = tuple(map(pick.__getitem__, result))
+        return self._perm(result)
 
     def enumerate(self) -> list[Perm]:
         """Every element, in code order: element k is the one random_element
         returns when its randrange calls make the code k."""
-        elems = [Perm.identity(self.degree)]
-        for lv in reversed(self.levels):
+        if not self.levels:
+            return [Perm.identity(self.degree)]
+        elems = [self._ident]
+        for lv in reversed(self.levels[1:]):
             transversals = [lv.transversal[pt] for pt in lv.orbit]
-            elems = [e * t for e in elems for t in transversals]
-        return elems
+            elems = [tuple(map(t.__getitem__, e))
+                     for e in elems for t in transversals]
+        # level 0 goes last; its transversals map straight to 1-based points
+        lv = self.levels[0]
+        transversals = [self._perm(lv.transversal[pt]).images
+                        for pt in lv.orbit]
+        return [_fast_perm(tuple(map(t.__getitem__, e)))
+                for e in elems for t in transversals]
 
 
 class PermGroup:
@@ -302,21 +342,25 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     it stops as soon as the bound is exceeded, or after _PR_MISSES
     consecutive elements sift to the identity."""
     chain = StabChain(gens[0].degree)
-    for g in gens:
+    tuples = [chain._tuple(g) for g in gens]
+    for g in tuples:
         chain._absorb(g)
-    slots = [g for g in gens if not g.is_identity()]
+    slots = [g for g in tuples if g != chain._ident]
     if slots:
         slots = [slots[i % len(slots)]
                  for i in range(max(_PR_SLOTS, len(slots)))]
         rng = random.Random(hash(tuple(g.images for g in gens)))
-        acc = Perm.identity(chain.degree)
-        misses = 0
-        while chain.order() <= bound and misses < _PR_MISSES:
+        acc = chain._ident
+        order, misses = chain.order(), 0
+        while order <= bound and misses < _PR_MISSES:
             i = rng.randrange(len(slots))
             j = rng.randrange(len(slots) - 1)
-            slots[i] = slots[i] * slots[j + (j >= i)]
-            acc = acc * slots[i]
-            misses = 0 if chain._absorb(acc) else misses + 1
+            slots[i] = tuple(map(slots[j + (j >= i)].__getitem__, slots[i]))
+            acc = tuple(map(slots[i].__getitem__, acc))
+            if chain._absorb(acc):
+                order, misses = chain.order(), 0
+            else:
+                misses += 1
     return chain.order()
 
 

@@ -72,8 +72,14 @@ class Perm:
         return result
 
     def conjugate(self, g: "Perm") -> "Perm":
-        """Return self^g = g^-1 * self * g."""
-        return g.inverse() * self * g
+        """Return self^g = g^-1 * self * g, which sends g(i) to g(self(i))."""
+        gi = g.images
+        if len(gi) != len(self.images):
+            raise ValueError("degree mismatch in composition")
+        out = [0] * len(gi)
+        for i, j in zip(gi, self.images):
+            out[i - 1] = gi[j - 1]
+        return _fast_perm(tuple(out))
 
     def is_identity(self) -> bool:
         images = self.images
@@ -98,7 +104,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))     # lcm() is 1
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
