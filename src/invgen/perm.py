@@ -109,9 +109,6 @@ class Perm:
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, j in enumerate(self.images) if j != i + 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
