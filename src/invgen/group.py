@@ -64,8 +64,10 @@ class _Level:
         # generators first registered here, each with its inverse
         self.gens: list[tuple[tuple, tuple]] = []
         self.orbit: list[int] = [base]
-        self.transversal: dict[int, tuple] = {}
-        self.inv_transversal: dict[int, tuple] = {}
+        # indexed by point: the element taking base there, or None off the
+        # orbit; empty until the orbit is first computed
+        self.transversal: list[Optional[tuple]] = []
+        self.inv_transversal: list[Optional[tuple]] = []
         self.verified = False
 
 
@@ -133,8 +135,9 @@ class StabChain:
 
     def _recompute_orbit(self, i: int) -> None:
         lv = self.levels[i]
-        lv.transversal = {lv.base: self._ident}
-        lv.inv_transversal = {lv.base: self._ident}
+        lv.transversal = [None] * self.degree
+        lv.inv_transversal = [None] * self.degree
+        lv.transversal[lv.base] = lv.inv_transversal[lv.base] = self._ident
         lv.orbit = [lv.base]
         self._grow_orbit(i, 0, ())
 
@@ -151,12 +154,11 @@ class StabChain:
             return
         gens = self._visible(i)
         for k, pt in enumerate(orbit):          # also visits appended points
-            t, t_inv = trans[pt], inv[pt]
             for g, g_inv in gens if k >= closed else new:
                 img = g[pt]
-                if img not in trans:
-                    trans[img] = itemgetter(*t)(g)
-                    inv[img] = itemgetter(*g_inv)(t_inv)
+                if trans[img] is None:
+                    trans[img] = itemgetter(*trans[pt])(g)
+                    inv[img] = itemgetter(*g_inv)(inv[pt])
                     orbit.append(img)
                     room -= 1
                     if not room:
@@ -167,7 +169,7 @@ class StabChain:
             img = p[lv.base]
             if img == lv.base:
                 continue
-            t_inv = lv.inv_transversal.get(img)
+            t_inv = lv.inv_transversal[img]
             if t_inv is None:
                 return p
             p = itemgetter(*p)(t_inv)
