@@ -257,23 +257,14 @@ class StabChain:
     def enumerate(self) -> list[Perm]:
         """Every element, in code order: element k is the one random_element
         returns when its randrange calls make the code k."""
-        if not self.levels:
-            return [Perm.identity(self.degree)]
         elems = [self._ident]
-        for lv in reversed(self.levels[1:]):
+        for lv in reversed(self.levels):
             transversals = [lv.transversal[pt] for pt in lv.orbit]
             products = []
             for e in elems:
                 products += map(itemgetter(*e), transversals)
             elems = products
-        # level 0 goes last; its transversals map straight to 1-based points
-        lv = self.levels[0]
-        transversals = [self._perm(lv.transversal[pt]).images
-                        for pt in lv.orbit]
-        perms = []
-        for e in elems:
-            perms += map(_fast_perm, map(itemgetter(*e), transversals))
-        return perms
+        return [self._perm(e) for e in elems]
 
 
 class PermGroup:
