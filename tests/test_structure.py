@@ -1,21 +1,24 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from invgen import families
 from invgen.group import (PermGroup, alternating_group,
                           group_from_generators, power_group, symmetric_group)
 from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
-                            _p_maximal_subgroups, _subgroup_orbit,
-                            _sylow_indices, _sylow_subgroup_classes,
-                            maximal_subgroups)
+                            _normalizer_indices, _p_maximal_subgroups,
+                            _subgroup_orbit, _sylow_indices,
+                            _sylow_subgroup_classes, maximal_subgroups)
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
                               is_normal_bits, minimal_normal_subgroups,
-                              quotient_group, subgroup_lattice, v_of)
+                              quotient_group, small_generating_indices,
+                              subgroup_lattice, v_of)
 
 from oracles import naive_conjugacy_classes, naive_subgroup_lattice
 
@@ -240,6 +243,63 @@ def test_sweep_finds_the_diagonals_of_a5_squared():
         projections = {tuple(tab.elements[i].images[:5])
                        for i in m.member_indices()}
         assert len(projections) == 60 and m.core_bits == 1
+
+
+def _brute_normalizer(tab, members) -> list[int]:
+    # g normalizes H = <gens> exactly when it maps each generator into H:
+    # then H^g, a subgroup of the same order, lies in H
+    gens = [tab.elements[i] for i in small_generating_indices(
+        tab, sorted(members))]
+    return [i for i, g in enumerate(tab.elements)
+            if all(tab.index[x.conjugate(g).images] in members for x in gens)]
+
+
+def test_normalizer_indices_match_brute_force(catalog, get_group):
+    # seeded subgroups of one to three random elements, and the trivial
+    # subgroup and the whole group
+    for e in catalog:
+        if e.expected_order > 720:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        rng = random.Random(e.name)
+        subgroups = [[tab.identity_index], list(range(tab.n))]
+        for _ in range(6):
+            subgroups.append(tab.closure(
+                [rng.randrange(tab.n) for _ in range(rng.randint(1, 3))]))
+        for h in map(frozenset, subgroups):
+            assert _normalizer_indices(tab, h) == _brute_normalizer(tab, h), (
+                e.name, sorted(h))
+
+
+def test_normalizer_of_the_field_automorphism_group(get_group):
+    # almost_simple_lower_example's sigma-cyclic subgroup: <sigma>, sigma of
+    # order 3 outside the socle PSL(2,8) of PGammaL(2,8)
+    G = get_group("PGammaL(2,8)")
+    tab = group_table(G)
+    socle_bits = families._derived_subgroup_bits(G)
+    sigma = next(i for i in range(tab.n) if not (socle_bits >> i) & 1
+                 and tab.elements[i].order() == 3)
+    h = frozenset(tab.closure([sigma]))
+    norm = _normalizer_indices(tab, h)
+    assert norm == _brute_normalizer(tab, h) and len(norm) == 18
+
+
+def test_maximal_search_peak_memory_s7():
+    # the search's own transient memory, past the table and the classes it
+    # reads; storing every conjugate of every sweep class as a frozenset of
+    # indices peaked at 9.3 MB here, sorted index tuples at 2.8 MB
+    G = symmetric_group(7)
+    group_table(G)
+    conjugacy_classes(G)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert len(maximal_subgroups(G)) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 5_000_000, peak - start
 
 
 def test_class_size_times_normalizer_is_order():
