@@ -93,53 +93,57 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _subgroup_orbit(tab, members: frozenset) -> list[frozenset]:
-    """Conjugation orbit of a subgroup (as element-index sets)."""
-    return _conj_orbit(tab.conj_maps(), members)
+def _subgroup_orbit(tab, members) -> list[frozenset]:
+    """Conjugation orbit of a subgroup, as element-index sets."""
+    return list(map(frozenset, _conj_orbit(tab.conj_maps(),
+                                           tuple(sorted(members)))))
 
 
-def _conj_orbit(maps: list[list[int]], members: frozenset) -> list[frozenset]:
-    """Orbit of a subgroup under the elements with these conjugation maps,
-    breadth first."""
+def _conj_orbit(maps: list[list[int]], members: tuple) -> list[tuple]:
+    """Orbit of a subgroup, a sorted index tuple, under the elements with
+    these conjugation maps, breadth first."""
     seen = {members}
     orbit = [members]
-    k = 0
-    while k < len(orbit):
-        s = orbit[k]
-        k += 1
+    for s in orbit:
         for m in maps:
-            t = frozenset(map(m.__getitem__, s))
+            t = tuple(sorted(map(m.__getitem__, s)))
             if t not in seen:
                 seen.add(t)
                 orbit.append(t)
     return orbit
 
 
-def _normalizer_indices(tab, members: frozenset) -> list[int]:
-    """Element indices of the normalizer, via orbit-stabilizer with
-    Schreier generators on the conjugation action."""
+def _normalizer_indices(tab, members) -> list[int]:
+    """Element indices of the normalizer N of the subgroup with these
+    members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
+    Schreier generators generate N, so they are closed one at a time, each
+    only if not already in the closure, until the closure reaches |N|."""
     gens = tab.group.generators or [tab.group.identity()]
     gen_idx = [tab.index[g.images] for g in gens]
     maps = tab.conj_maps()
-    transversal: dict[frozenset, int] = {members: tab.identity_index}
+    members = tuple(sorted(members))
+    transversal = {members: tab.identity_index}
     orbit = [members]
-    stab_gens: set[int] = set()
-    k = 0
-    while k < len(orbit):
-        s = orbit[k]
-        k += 1
+    edges = []              # (t_s, g, t_sg): Schreier generator t_s g t_sg^-1
+    for s in orbit:
         c = transversal[s]
         for m, gi in zip(maps, gen_idx):
-            t = frozenset(map(m.__getitem__, s))
-            cg = tab.mult(c, gi)
+            t = tuple(sorted(map(m.__getitem__, s)))
             if t not in transversal:
-                transversal[t] = cg
+                transversal[t] = tab.mult(c, gi)
                 orbit.append(t)
             else:
-                sg = tab.mult(cg, tab.inv(transversal[t]))
-                if sg != tab.identity_index:
-                    stab_gens.add(sg)
-    closure = tab.closure(sorted(stab_gens))
+                edges.append((c, gi, transversal[t]))
+    order = tab.n // len(orbit)
+    stab_gens: list[int] = []
+    closure = [tab.identity_index]
+    for c, gi, d in edges:
+        if len(closure) == order:
+            break
+        sg = tab.mult(tab.mult(c, gi), tab.inv(d))
+        if sg not in closure:
+            stab_gens.append(sg)
+            closure = tab.closure(stab_gens)
     assert len(closure) * len(orbit) == tab.n, "orbit-stabilizer mismatch"
     return closure
 
@@ -244,13 +248,12 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
 class _ClassRec:
     """A conjugacy class of subgroups found during the sweep."""
 
-    __slots__ = ("rep", "order", "orbit_set", "orbit_list", "norm_gens")
+    __slots__ = ("rep", "order", "orbit", "norm_gens")
 
-    def __init__(self, tab, rep: frozenset):
+    def __init__(self, tab, rep: tuple):
         self.rep = rep
         self.order = len(rep)
-        self.orbit_list = _subgroup_orbit(tab, rep)
-        self.orbit_set = set(self.orbit_list)
+        self.orbit = _conj_orbit(tab.conj_maps(), rep)
         self.norm_gens: Optional[list[int]] = None
 
     def normalizer_gens(self, tab) -> list[int]:
@@ -261,28 +264,20 @@ class _ClassRec:
 
 
 class _ClassPool:
-    """Dedups subgroup sets into conjugacy classes, lazily computing orbits."""
+    """Dedups subgroups, as sorted index tuples, into conjugacy classes: one
+    dict maps every conjugate of a found class to the class's record."""
 
-    def __init__(self, tab, class_of: list[int]):
+    def __init__(self, tab):
         self.tab = tab
-        self.class_of = class_of
-        self.buckets: dict[tuple, list[_ClassRec]] = {}
+        self.class_of: dict[tuple, _ClassRec] = {}
         self.all: list[_ClassRec] = []
 
-    def _key(self, fs: frozenset) -> tuple:
-        counts: dict[int, int] = {}
-        for i in fs:
-            c = self.class_of[i]
-            counts[c] = counts.get(c, 0) + 1
-        return (len(fs), tuple(sorted(counts.items())))
-
-    def add(self, fs: frozenset) -> Optional[_ClassRec]:
-        """Register a subgroup set; return the record if the class is new."""
-        bucket = self.buckets.setdefault(self._key(fs), [])
-        if any(fs in rec.orbit_set for rec in bucket):
+    def add(self, s: tuple) -> Optional[_ClassRec]:
+        """Register a subgroup; return the record if the class is new."""
+        if s in self.class_of:
             return None
-        rec = _ClassRec(self.tab, fs)
-        bucket.append(rec)
+        rec = _ClassRec(self.tab, s)
+        self.class_of.update(dict.fromkeys(rec.orbit, rec))
         self.all.append(rec)
         return rec
 
@@ -298,7 +293,7 @@ def _sylow_subgroup_classes(tab, p: int, sylow_members: list[int],
     todo = [frozenset(sylow_members)]
     while todo:
         for m in _p_maximal_subgroups(tab, p, todo.pop()):
-            new = pool.add(m)
+            new = pool.add(tuple(sorted(m)))
             if new is not None:
                 out.append(new)
                 todo.append(m)
@@ -332,24 +327,24 @@ def _p_maximal_subgroups(tab, p: int, h: frozenset) -> list[frozenset]:
             if next(filter(None, f), 0) == 1]    # one per hyperplane
 
 
-def _bounded_join(tab, a_gens: list[int], b: frozenset, divisor: int
-                  ) -> Optional[frozenset]:
+def _bounded_join(tab, a_gens: list[int], b: tuple, divisor: int
+                  ) -> Optional[tuple]:
     """<a, b> when its order divides the divisor, else None; a_gens is
     small_generating_indices of a, which the caller keeps for a loop."""
-    gens = a_gens + small_generating_indices(tab, sorted(b))
+    gens = a_gens + small_generating_indices(tab, b)
     closure = tab.closure(gens, bound=divisor)
     if closure is None or divisor % len(closure):
         return None
-    return frozenset(closure)
+    return tuple(closure)
 
 
-def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[frozenset]
-                     ) -> list[frozenset]:
+def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[tuple]
+                     ) -> list[tuple]:
     """One representative per orbit of the normalizer acting by conjugation
     on the target class (realizes double-coset conjugator enumeration)."""
     maps = [tab.elem_conj_map(gi) for gi in norm_gens]
-    reps: list[frozenset] = []
-    seen: set[frozenset] = set()
+    reps: list[tuple] = []
+    seen: set[tuple] = set()
     for t in targets:
         if t not in seen:
             reps.append(t)
@@ -357,10 +352,9 @@ def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[frozenset]
     return reps
 
 
-def _certify_maximal(tab, members: frozenset) -> bool:
+def _certify_maximal(tab, members: tuple) -> bool:
     """Exact check: every one-step extension is the whole group."""
-    gens = [tab.elements[i]
-            for i in small_generating_indices(tab, sorted(members))]
+    gens = [tab.elements[i] for i in small_generating_indices(tab, members)]
     assigned = set(members)
     for x in range(tab.n):
         if x not in assigned:           # <M, y> = <M, x> for y in MxM
@@ -375,7 +369,7 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                           ) -> list[frozenset]:
     """Certified maximal subgroups of order dividing divisor = |G|/rad|G|
     whose classes are not conjugate into any already-found maximal class."""
-    pool = _ClassPool(tab, conjugacy_classes(tab.group).class_of)
+    pool = _ClassPool(tab)
     per_prime: dict[int, list[_ClassRec]] = {
         p: _sylow_subgroup_classes(tab, p, members, pool)
         for p, members in sylows.items()}
@@ -396,29 +390,31 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                         continue
                     # enumerate conjugators over the cheaper side's orbit
                     moving, fixed = sorted((rec, q_rec), key=lambda r: (
-                        len(r.orbit_list) * r.order))
+                        len(r.orbit) * r.order))
                     norm = fixed.normalizer_gens(tab)
-                    fixed_gens = small_generating_indices(tab, sorted(fixed.rep))
-                    for m_set in _norm_orbit_reps(tab, norm, moving.orbit_list):
-                        j = _bounded_join(tab, fixed_gens, m_set, divisor)
+                    fixed_gens = small_generating_indices(tab, fixed.rep)
+                    for m in _norm_orbit_reps(tab, norm, moving.orbit):
+                        j = _bounded_join(tab, fixed_gens, m, divisor)
                         added = pool.add(j) if j and j != fixed.rep else None
                         if added is not None:
                             new_recs.append((added, q))
         frontier = new_recs
-    # candidate filtering
+    # candidate filtering; a survivor's members become a set only here
     survivors = [rec for rec in pool.all
-                 if not any(rec.rep <= m for o in found_orbits for m in o)]
+                 if not any(m.issuperset(rec.rep)
+                            for o in found_orbits for m in o)]
     certified: list[frozenset] = []
     survivors.sort(key=lambda r: -r.order)
     for rec in survivors:
+        rep = frozenset(rec.rep)
         if any(other.order > rec.order and
-               any(rec.rep < o for o in other.orbit_set)
+               any(rep.issubset(o) for o in other.orbit)
                for other in survivors):
             continue
-        if any(any(o <= c for c in certified) for o in rec.orbit_set):
+        if any(c.issuperset(o) for o in rec.orbit for c in certified):
             continue
         if _certify_maximal(tab, rec.rep):
-            certified.append(rec.rep)
+            certified.append(rep)
     return certified
 
 

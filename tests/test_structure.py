@@ -222,10 +222,31 @@ def test_sylow_subgroup_classes_match_the_lattice(catalog, get_group):
             for h in _lattice_sets(G):
                 if len(h) < len(P) and len(P) % len(h) == 0:
                     want.add(min(_subgroup_orbit(tab, h), key=sorted))
-            pool = _ClassPool(tab, conjugacy_classes(G).class_of)
-            got = [min(r.orbit_list, key=sorted)
+            pool = _ClassPool(tab)
+            got = [frozenset(min(r.orbit))
                    for r in _sylow_subgroup_classes(tab, p, sorted(P), pool)]
             assert len(got) == len(set(got)) and set(got) == want, (e.name, p)
+
+
+def test_class_pool_keeps_one_record_per_subgroup_class(catalog, get_group):
+    # every member of the full lattice into one pool: one record per class,
+    # whose orbit is that class under conjugation by every element of G
+    for e in catalog:
+        if e.expected_order > 168:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        conj = [[tab.index[x.conjugate(g).images] for x in tab.elements]
+                for g in tab.elements]
+        lattice = _lattice_sets(G)
+        pool = _ClassPool(tab)
+        for h in lattice:
+            pool.add(tuple(sorted(h)))
+        want = {frozenset(frozenset(map(c.__getitem__, h)) for c in conj)
+                for h in lattice}
+        got = [frozenset(map(frozenset, r.orbit)) for r in pool.all]
+        assert len(got) == len(want) and set(got) == want, e.name
+        assert sum(len(r.orbit) for r in pool.all) == len(lattice), e.name
 
 
 def test_sweep_finds_the_diagonals_of_a5_squared():
