@@ -280,8 +280,15 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 3), not argparse's cap code 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--catalog", type=str, default=None,
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--subset-cap", type=int,
                         default=_env_int(ENV_SUBSET_CAP,
                                          cheb.DEFAULT_SUBSET_CAP))
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
                     "of small permutation groups.",
@@ -325,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chebotarev", parents=[common],
                        help="exact or Monte Carlo C(G)")
     add_selector(p)
-    p.add_argument("--exact", action="store_true", default=False)
-    p.add_argument("--mc", action="store_true", default=False)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", default=False)
+    mode.add_argument("--mc", action="store_true", default=False)
     p.add_argument("--trials", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
 

@@ -150,6 +150,24 @@ def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
     assert argv[-2] in data["reason"]
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("sweep", "bogus"), "invalid choice: 'bogus'"),
+    (("chebotarev", "A5", "--trials", "abc"), "invalid int value: 'abc'"),
+    (("analyze", "A5", "--no-such-flag"), "unrecognized arguments"),
+])
+def test_usage_errors_are_input_errors(capsys, argv, words):
+    # argparse would exit 2, which is the cap code
+    code, data = run_json(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert data["error"] == "input" and words in data["reason"]
+
+
+def test_exact_and_mc_together_are_an_input_error(capsys):
+    code, data = run_json(capsys, "chebotarev", "A5", "--exact", "--mc")
+    assert code == cli.EXIT_INPUT
+    assert data["error"] == "input" and "not allowed with" in data["reason"]
+
+
 def test_sweep_with_no_rows_is_an_input_error(capsys):
     code, data = run_json(capsys, "sweep", "theorem1", "--max-order", "1")
     assert code == 3
