@@ -77,11 +77,6 @@ class MaximalClass:
         return indices_of_bits(self.rep_bits)
 
 
-def v_of(mc: MaximalClass) -> Fraction:
-    """Density of the union of conjugates of the class representative."""
-    return mc.v
-
-
 # ---------------------------------------------------------------------------
 # helpers on the element table
 
@@ -413,11 +408,10 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
     survivors.sort(key=lambda r: -r.order)
     for rec in survivors:
         rep = frozenset(rec.rep)
+        # a certified class above rec is a larger survivor, so this skips rec
         if any(other.order > rec.order and
                any(rep.issubset(o) for o in other.orbit)
                for other in survivors):
-            continue
-        if any(c.issuperset(o) for o in rec.orbit for c in certified):
             continue
         if _certify_maximal(tab, rec.rep):
             certified.append(rep)

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
                     PermGroup)
-from .maximal import MaximalClass, maximal_subgroups, v_of
+from .maximal import MaximalClass, maximal_subgroups
 from .perm import Perm
 from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
                     conjugacy_classes, group_table, indices_of_bits,

@@ -18,7 +18,7 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
                               is_normal_bits, minimal_normal_subgroups,
                               quotient_group, small_generating_indices,
-                              subgroup_lattice, v_of)
+                              subgroup_lattice)
 
 from oracles import naive_conjugacy_classes, naive_subgroup_lattice
 
@@ -365,7 +365,7 @@ def test_mtilde_equals_union_of_conjugates_small():
 def test_v_less_than_one():
     for G in [symmetric_group(4), alternating_group(5), mk("(1 2)", 2)]:
         for m in maximal_subgroups(G):
-            assert v_of(m) < 1
+            assert m.v < 1
 
 
 def test_nilpotent_iff_all_maximals_normal():
