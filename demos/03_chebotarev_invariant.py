@@ -1,9 +1,9 @@
 """The Chebotarev invariant: expected draws until invariable generation.
 
-C(G) is computed three independent ways and compared: the closed-form
-signed sum over intersections of the distinct maximal-subgroup unions, a
-truncated waiting-time series with a rigorous tail bound, and a seeded
-Monte Carlo simulation.
+C(G) is computed three ways and compared: the exact waiting time of the
+absorbing chain whose state is the set of distinct maximal-subgroup unions
+still holding every draw, a truncated series with a rigorous tail bound,
+and a seeded Monte Carlo simulation.
 """
 
 from fractions import Fraction
@@ -27,7 +27,7 @@ for k in range(7):
     print(f"  k={k}:  {p}  ~ {float(p):.4f}")
 
 c = chebotarev_exact(fam)
-print(f"\nclosed form:      C(A5) = {c} ~ {float(c):.6f}")
+print(f"\nexact chain:      C(A5) = {c} ~ {float(c):.6f}")
 
 partial, tail = chebotarev_partial_sum(fam, 50)
 print(f"series to k=50:   {float(partial):.6f}  (tail bound {float(tail):.2e})")

@@ -3,19 +3,20 @@
 Everything runs over the distinct unions-of-conjugates of the maximal
 subgroup classes, at class granularity and in exact rationals: conjugate
 maximal subgroups share their union, and distinct classes can too, so the
-family is deduplicated by the exact class bitset before the subset sums.
+family is deduplicated by the exact class bitset first.
 
-The waiting-time identity behind the closed form: if N is the number of
-uniform draws until the drawn set invariably generates, then
-E[N] = sum over k >= 0 of (1 - P_I(G,k)), and by inclusion-exclusion over
-the distinct unions W (with density v_W),
+Uniform draws drive an absorbing Markov chain.  Its state is the bitset of
+distinct sets that hold every draw so far: a draw from class c moves s to
+s & row(c), where row(c) marks the sets holding c, with probability
+|c|/|G|, and the draws invariably generate once the state is 0.  P_I(G,k)
+is the mass at state 0 after k steps, and C(G) = E[full] by first-step
+analysis, E[0] = 0 and, summing over classes that move s or keep it,
 
-    1 - P_I(G,k) = sum over nonempty S of (-1)^(|S|+1) * v_S^k,
+    E[s] = (|G| + sum of |c| * E[s & row(c)]) / (|G| - sum of |c|).
 
-with v_S the density of the intersection of S.  Summing the geometric
-series in k gives C(G) as a finite signed sum of 1/(1 - v_S).  This form
-is validated against exhaustive and Monte Carlo oracles in the tests, not
-taken on faith.
+Only the row intersections reachable from the full bitset are states.  The
+tests check the chain against inclusion-exclusion over the distinct sets,
+exhaustive enumeration and Monte Carlo.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional
 
 from .generation import IncidenceProfile, build_profile, check_killable
 from .group import DEFAULT_LATTICE_CAP, PermGroup
-from .maximal import maximal_subgroups
-from .table import conjugacy_classes, indices_of_bits
+from .maximal import MaximalClass, maximal_subgroups
+from .table import conjugacy_classes
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -51,44 +52,57 @@ class DistinctTildeFamily:
 
 def distinct_tilde_family(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                           ) -> DistinctTildeFamily:
-    ct = conjugacy_classes(G)
-    sizes = tuple(c.size for c in ct.classes)
-    seen: dict[int, list[str]] = {}
+    sizes = tuple(c.size for c in conjugacy_classes(G).classes)
+    seen: dict[int, list[MaximalClass]] = {}
     for mc in maximal_subgroups(G, cap=cap):
-        seen.setdefault(mc.mtilde_class_bits, []).append(mc.label)
+        seen.setdefault(mc.mtilde_class_bits, []).append(mc)
     sets = sorted(seen)
-    dens = []
-    for s in sets:
-        covered = sum(sizes[ci] for ci in indices_of_bits(s))
-        d = Fraction(covered, G.order)
-        assert d < 1, "union of conjugates of a proper subgroup is proper"
-        dens.append(d)
+    # v is the density of the class union, so classes sharing one share v
+    dens = tuple(seen[s][0].v for s in sets)
+    assert all(d < 1 for d in dens), \
+        "union of conjugates of a proper subgroup is proper"
     return DistinctTildeFamily(
-        group=G, sets=tuple(sets), densities=tuple(dens),
-        provenance=tuple(tuple(seen[s]) for s in sets), class_sizes=sizes)
+        group=G, sets=tuple(sets), densities=dens,
+        provenance=tuple(tuple(mc.label for mc in seen[s]) for s in sets),
+        class_sizes=sizes)
 
 
-def _subset_densities(family: DistinctTildeFamily, cap: int
-                      ) -> list[tuple[int, Fraction]]:
-    """(popcount, density of the intersection) for every nonempty subset."""
+def _chain(family: DistinctTildeFamily, cap: int
+           ) -> tuple[dict[int, int], list[int]]:
+    """({row: summed class size}, the states reachable from the full
+    bitset, fewest bits first).  row(c) has bit j when set j holds class c."""
     m = len(family.sets)
     if m > cap:
         raise ValueError(
             f"{m} distinct sets exceed the subset cap {cap}; "
             "use the Monte Carlo estimator instead")
-    order = family.group.order
-    sizes = family.class_sizes
-    out: list[tuple[int, Fraction]] = [(0, Fraction(1))] * (1 << m)
-    inter: list[int] = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        bits = family.sets[i] if rest == 0 else inter[rest] & family.sets[i]
-        inter[mask] = bits
-        covered = sum(sizes[ci] for ci in indices_of_bits(bits))
-        out[mask] = (mask.bit_count(), Fraction(covered, order))
-    return out[1:]
+    rows: dict[int, int] = {}
+    for ci, size in enumerate(family.class_sizes):
+        row = sum(1 << j for j, s in enumerate(family.sets) if s >> ci & 1)
+        rows[row] = rows.get(row, 0) + size
+    seen, todo = {(1 << m) - 1}, [(1 << m) - 1]
+    while todo:
+        s = todo.pop()
+        new = {s & row for row in rows} - seen
+        seen |= new
+        todo.extend(new)
+    return rows, sorted(seen, key=lambda s: (s.bit_count(), s))
+
+
+def _hits(family: DistinctTildeFamily, upto_k: int, cap: int) -> list[int]:
+    """For k = 0..upto_k, how many k-tuples of elements reach state 0:
+    P_I(G,k) = hits[k] / |G|^k."""
+    rows, _ = _chain(family, cap)
+    count = {(1 << len(family.sets)) - 1: 1}
+    hits = [count.get(0, 0)]
+    for _ in range(upto_k):
+        step: dict[int, int] = {}
+        for s, c in count.items():
+            for row, size in rows.items():
+                step[s & row] = step.get(s & row, 0) + c * size
+        count = step
+        hits.append(count.get(0, 0))
+    return hits
 
 
 def p_i_exact(family: DistinctTildeFamily, k: int,
@@ -96,25 +110,20 @@ def p_i_exact(family: DistinctTildeFamily, k: int,
     """Exact probability that k uniform random elements invariably generate."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if len(family.sets) == 0:
-        return Fraction(1)          # trivial group
-    miss = Fraction(0)
-    for popcount, v in _subset_densities(family, cap):
-        term = v ** k
-        miss += term if popcount % 2 == 1 else -term
-    return 1 - miss
+    return Fraction(_hits(family, k, cap)[k], family.group.order ** k)
 
 
 def chebotarev_exact(family: DistinctTildeFamily,
                      cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
     """Expected number of uniform draws until invariable generation."""
-    if len(family.sets) == 0:
-        return Fraction(0)          # trivial group generates vacuously
-    total = Fraction(0)
-    for popcount, v in _subset_densities(family, cap):
-        term = 1 / (1 - v)
-        total += term if popcount % 2 == 1 else -term
-    return total
+    rows, states = _chain(family, cap)
+    n = family.group.order
+    wait = {0: Fraction(0)}
+    for s in states[1:]:
+        stay = sum(size for row, size in rows.items() if s & row == s)
+        wait[s] = sum((size * wait[s & row] for row, size in rows.items()
+                       if s & row != s), Fraction(n)) / (n - stay)
+    return wait[states[-1]]
 
 
 def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
@@ -122,22 +131,15 @@ def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
                            ) -> tuple[Fraction, Fraction]:
     """(sum of 1 - P_I(G,k) for k = 0..upto_k, bound on the omitted tail).
 
-    The tail after K is at most the sum of v_S^(K+1) / (1 - v_S) over odd
-    subsets, and the partial sum plus the signed tail equals the closed
-    form exactly; the bound is what the tests assert against.
+    1 - P_I(G,k) is at most the sum of v_W^k over the distinct sets W, so
+    the tail after K is at most the sum of v_W^(K+1) / (1 - v_W).
     """
-    subsets = _subset_densities(family, cap)
-    partial = Fraction(0)
-    for k in range(upto_k + 1):
-        miss = Fraction(0)
-        for popcount, v in subsets:
-            term = v ** k
-            miss += term if popcount % 2 == 1 else -term
-        partial += miss
-    tail_bound = Fraction(0)
-    for popcount, v in subsets:
-        if v < 1:
-            tail_bound += v ** (upto_k + 1) / (1 - v)
+    n = family.group.order
+    partial = sum((1 - Fraction(h, n ** k)
+                   for k, h in enumerate(_hits(family, upto_k, cap))),
+                  Fraction(0))
+    tail_bound = sum((v ** (upto_k + 1) / (1 - v) for v in family.densities),
+                     Fraction(0))
     return partial, tail_bound
 
 
@@ -161,12 +163,8 @@ def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
     maxes = maximal_subgroups(G, cap=cap)
     family = distinct_tilde_family(G, cap=cap)
     miss = 1 - p_i_exact(family, k)
-    if maxes:
-        max_term = max(mc.v ** k for mc in maxes)
-        sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
-    else:
-        max_term = Fraction(0)
-        sum_term = Fraction(0)
+    max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
+    sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
     return SandwichReport(k=k, max_v_pow_k=max_term, miss_probability=miss,
                           sum_v_pow_k=sum_term,
                           lower_ok=max_term <= miss, upper_ok=miss <= sum_term)

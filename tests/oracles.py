@@ -8,8 +8,9 @@ conjugating with every group element.  Slow but obviously correct.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from invgen.perm import Perm
 
@@ -71,12 +72,14 @@ def naive_subgroup_lattice(elements) -> set[frozenset]:
     return set(found)
 
 
-def naive_maximal_classes(elements) -> list[list[frozenset]]:
-    """Conjugacy classes of maximal subgroups from the naive lattice,
-    each class sorted, classes ordered by (-order, size, least member)."""
+def naive_maximal_classes(elements, lattice=None) -> list[list[frozenset]]:
+    """Conjugacy classes of maximal subgroups from the naive lattice (built
+    here unless given), each class sorted, classes ordered by (-order, size,
+    least member)."""
     elements = list(elements)
     whole = frozenset(elements)
-    lattice = naive_subgroup_lattice(elements)
+    if lattice is None:
+        lattice = naive_subgroup_lattice(elements)
     proper = [H for H in lattice if H != whole]
     maximal = [H for H in proper
                if not any(H < K for K in proper if K != H)]
@@ -122,3 +125,27 @@ def exhaustive_p_i(G, k: int) -> Fraction:
         if exhaustive_invariable_generation(G, list(tup)):
             good += 1
     return Fraction(good, len(elements) ** k)
+
+
+def inclusion_exclusion(sets, class_sizes, order, ks=()
+                        ) -> tuple[Fraction, list[Fraction]]:
+    """(C(G), [P_I(G,k) for k in ks]) by inclusion-exclusion over the
+    nonempty subsets S of the class bitsets of the unions of conjugates:
+
+        1 - P_I(G,k) = sum of (-1)^(|S|+1) v_S^k,
+
+    with v_S the density of the intersection of S.  C(G) is the sum over
+    k >= 0 of 1 - P_I(G,k): the signed sum of 1 / (1 - v_S)."""
+    weights: Counter = Counter()        # signed subset count per density
+    for r in range(1, len(sets) + 1):
+        for combo in combinations(sets, r):
+            inter = combo[0]
+            for s in combo[1:]:
+                inter &= s
+            covered = sum(size for i, size in enumerate(class_sizes)
+                          if inter >> i & 1)
+            weights[Fraction(covered, order)] += 1 if r % 2 else -1
+    c = sum((w / (1 - v) for v, w in weights.items()), Fraction(0))
+    p_i = [1 - sum((w * v ** k for v, w in weights.items()), Fraction(0))
+           for k in ks]
+    return c, p_i

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from invgen.chebotarev import (DistinctTildeFamily, chebotarev_exact,
-                               chebotarev_mc, chebotarev_partial_sum,
-                               distinct_tilde_family, p_i_exact,
-                               p_i_sandwich_check, theorem2_ratio_report)
+from invgen.chebotarev import (DEFAULT_SUBSET_CAP, DistinctTildeFamily,
+                               chebotarev_exact, chebotarev_mc,
+                               chebotarev_partial_sum, distinct_tilde_family,
+                               p_i_exact, p_i_sandwich_check,
+                               theorem2_ratio_report)
 from invgen.generation import build_profile, d_i_exact
 from invgen.group import alternating_group, group_from_generators, \
     symmetric_group
@@ -14,7 +15,7 @@ from invgen.maximal import maximal_subgroups
 from invgen.perm import parse_cycles
 from invgen.structure import conjugacy_classes, fuse_classes_under
 
-from oracles import exhaustive_p_i
+from oracles import exhaustive_p_i, inclusion_exclusion
 
 
 def mk(spec, deg, name=""):
@@ -105,24 +106,49 @@ def test_chebotarev_partial_sum_tail():
 def test_dedup_soundness():
     """Inclusion-exclusion over the raw per-class unions (no dedup) must
     give the identical rational."""
-    from itertools import combinations
     for G in [alternating_group(5), symmetric_group(4)]:
-        maxes = maximal_subgroups(G)
-        from invgen.structure import conjugacy_classes
+        sets = [m.mtilde_class_bits for m in maximal_subgroups(G)]
         sizes = [c.size for c in conjugacy_classes(G).classes]
-        total = Fraction(0)
-        sets = [m.mtilde_class_bits for m in maxes]
-        for r in range(1, len(sets) + 1):
-            for combo in combinations(sets, r):
-                inter = combo[0]
-                for s in combo[1:]:
-                    inter &= s
-                covered = sum(sizes[i] for i in range(len(sizes))
-                              if (inter >> i) & 1)
-                v = Fraction(covered, G.order)
-                term = 1 / (1 - v)
-                total += term if r % 2 == 1 else -term
-        assert total == chebotarev_exact(distinct_tilde_family(G))
+        assert inclusion_exclusion(sets, sizes, G.order)[0] == \
+            chebotarev_exact(distinct_tilde_family(G))
+
+
+def test_chain_matches_inclusion_exclusion(catalog, get_group):
+    """The chain against the signed subset sums, for C(G) and P_I(G,k) with
+    k = 0..8, on every catalog group of order <= 5040."""
+    ks = range(9)
+    checked = 0
+    for entry in catalog:
+        if entry.expected_order > 5040:
+            continue
+        G = get_group(entry.name)
+        fam = distinct_tilde_family(G)
+        c, p_i = inclusion_exclusion(fam.sets, fam.class_sizes, G.order, ks)
+        assert chebotarev_exact(fam) == c, entry.name
+        assert [p_i_exact(fam, k) for k in ks] == p_i, entry.name
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_on_elementary_abelian_2_groups(n):
+    """In C2^n invariable generation is generation, so C(G) is the expected
+    number of uniform vectors that span F_2^n, the sum over i < n of
+    2^n/(2^n - 2^i), and P_I(G,k) is the product over i < n of
+    1 - 2^i/2^k.  Past n = 4 the 2^n - 1 distinct sets exceed the default
+    cap."""
+    G = mk(";".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n)), 2 * n)
+    fam = distinct_tilde_family(G)
+    assert len(fam) == 2 ** n - 1
+    if len(fam) > DEFAULT_SUBSET_CAP:
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            chebotarev_exact(fam)
+    cap = 2 ** n - 1
+    assert chebotarev_exact(fam, cap=cap) == \
+        sum(Fraction(2 ** n, 2 ** n - 2 ** i) for i in range(n))
+    for k in range(n, n + 3):
+        want = math.prod(1 - Fraction(2 ** i, 2 ** k) for i in range(n))
+        assert p_i_exact(fam, k, cap=cap) == want, k
 
 
 # -- sandwich -----------------------------------------------------------------
