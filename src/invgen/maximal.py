@@ -119,8 +119,7 @@ def _normalizer_indices(tab, members) -> list[int]:
     members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
     Schreier generators generate N, so they are closed one at a time, each
     only if not already in the closure, until the closure reaches |N|."""
-    gens = tab.group.generators or [tab.group.identity()]
-    gen_idx = [tab.index[g.images] for g in gens]
+    gen_idx = [tab.index[g.images] for g in tab.generators]
     maps = tab.conj_maps()
     members = tuple(sorted(members))
     transversal = {members: tab.identity_index}

@@ -19,6 +19,7 @@ builds maps for 11.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -38,6 +39,7 @@ class GroupTable:
 
     def __init__(self, group: PermGroup, cap: int = DEFAULT_ENUM_CAP):
         self.group = group
+        self.generators = group.generators or [group.identity()]
         self.elements = group.elements(cap=cap)
         self.index = {p.images: i for i, p in enumerate(self.elements)}
         self.n = len(self.elements)
@@ -74,9 +76,8 @@ class GroupTable:
     def conj_maps(self) -> list[list[int]]:
         """For each group generator g, the index map i -> index(e_i ^ g)."""
         if self._conj_maps is None:
-            gens = self.group.generators or [self.group.identity()]
             self._conj_maps = [self.elem_conj_map(self.index[g.images])
-                               for g in gens]
+                               for g in self.generators]
         return self._conj_maps
 
     def elem_conj_map(self, gi: int) -> list[int]:
@@ -179,7 +180,8 @@ def group_table(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> GroupTable:
     G.elements(cap=cap)           # raises past the cap, cached table or not
     tab = G._cache.get("table")
     if tab is None:
-        tab = GroupTable(G, cap=cap)
+        # the table and classes refer back weakly, so no cycle holds G
+        tab = GroupTable(weakref.proxy(G), cap=cap)
         G._cache["table"] = tab
     return tab
 
@@ -286,7 +288,7 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
             element_order=order, bits=tab.bits_of(members), label=label))
         for i in members:
             class_of[i] = new_cid
-    result = ConjugacyTable(group=G, classes=classes, class_of=class_of)
+    result = ConjugacyTable(group=tab.group, classes=classes, class_of=class_of)
     G._cache["conjugacy"] = result
     return result
 

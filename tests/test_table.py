@@ -2,14 +2,17 @@
 the brute-force closure of oracles.py for small subgroups, an exact
 Schreier-Sims enumeration for larger ones, and Perm composition for mult."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from invgen import families
 from invgen.group import PermGroup
 from invgen.perm import Perm
-from invgen.table import GroupTable
+from invgen.structure import chief_series, maximal_subgroups
+from invgen.table import GroupTable, conjugacy_classes
 
 from oracles import naive_closure
 
@@ -101,3 +104,19 @@ def test_whole_group_closure_has_no_bound_surprises(catalog):
     assert tab.closure(gens, bound=120) == list(range(120))
     assert tab.closure(gens, bound=119) is None
     assert tab.closure(gens[:1], bound=2) == sorted([0, gens[0]])
+
+
+def test_a_dropped_group_is_freed_without_the_cycle_collector():
+    # the group caches its tables, classes and maximal classes; were they to
+    # refer back to it strongly, only the cycle collector could free them
+    G = families.catalog_group("A5", families.load_catalog())
+    conjugacy_classes(G)
+    maximal_subgroups(G)
+    chief_series(G)
+    alive = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert alive() is None
+    finally:
+        gc.enable()
