@@ -90,8 +90,7 @@ def _chain(family: DistinctTildeFamily, cap: int
 
 
 def _hits(family: DistinctTildeFamily, upto_k: int, cap: int) -> list[int]:
-    """For k = 0..upto_k, how many k-tuples of elements reach state 0:
-    P_I(G,k) = hits[k] / |G|^k."""
+    """How many k-tuples of elements reach state 0, for k = 0..upto_k."""
     rows, _ = _chain(family, cap)
     count = {(1 << len(family.sets)) - 1: 1}
     hits = [count.get(0, 0)]
