@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .generation import IncidenceProfile, build_profile, check_killable
-from .group import DEFAULT_LATTICE_CAP, PermGroup
+from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import MaximalClass, maximal_subgroups
 from .table import conjugacy_classes
 
@@ -73,7 +73,7 @@ def _chain(family: DistinctTildeFamily, cap: int
     bitset, fewest bits first).  row(c) has bit j when set j holds class c."""
     m = len(family.sets)
     if m > cap:
-        raise ValueError(
+        raise CapExceeded(
             f"{m} distinct sets exceed the subset cap {cap}; "
             "use the Monte Carlo estimator instead")
     rows: dict[int, int] = {}
@@ -252,7 +252,7 @@ def theorem2_ratio_report(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP,
     try:
         c_exact: Optional[Fraction] = chebotarev_exact(family, cap=subset_cap)
         c_float = float(c_exact)
-    except ValueError:
+    except CapExceeded:
         c_exact = None
         c_float = chebotarev_mc(G, mc_trials, mc_seed, cap=cap).mean
     order = G.order

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .generation import build_profile, invariably_generates
 from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
                     group_from_generators, power_group, symmetric_group)
-from .maximal import _normalizer_indices, _subgroup_orbit, maximal_subgroups
+from .maximal import _normalizer_indices, _orbit_bits, maximal_subgroups
 from .perm import Perm, parse_cycles
 from .structure import normal_closure_bits
 from .table import conjugacy_classes, group_table
@@ -394,10 +394,11 @@ def almost_simple_lower_example(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                      and tab.elements[i].order() == b)
     sigma_cyclic = tab.closure([sigma_idx])
     norm = _normalizer_indices(tab, frozenset(sigma_cyclic))
+    norm_bits = tab.bits_of(norm)
     located = None
     for mc in maximal_subgroups(G, cap=cap):
-        orbit = _subgroup_orbit(tab, frozenset(mc.member_indices()))
-        if any(m.issuperset(norm) for m in orbit):
+        if any(norm_bits & m == norm_bits
+               for m in _orbit_bits(tab, mc.member_indices())):
             located = mc
             break
     assert located is not None, "normalizer lies in some maximal subgroup"

@@ -168,27 +168,26 @@ def d_i_exact(profile: IncidenceProfile) -> tuple[int, list[int]]:
 
     max_kill = max((k.bit_count() for k in kills), default=0)
 
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_witness
+    # depth first, children pushed in reverse so they pop in killer order
+    stack: list[tuple[int, list[int]]] = [(0, [])]
+    while stack:
+        covered, chosen = stack.pop()
         if covered == full:
             cand = sorted(chosen)
             if len(cand) < best_size or (len(cand) == best_size
                                          and cand < best_witness):
                 best_size = len(cand)
                 best_witness = cand
-            return
+            continue
         remaining = (full & ~covered).bit_count()
         if len(chosen) + math.ceil(remaining / max_kill) > best_size:
-            return
+            continue
         # branch on the uncovered column with fewest killers
         target = min((c for c in range(ncols) if not (covered >> c) & 1),
                      key=lambda c: len(killers_of_col[c]))
-        for r in killers_of_col[target]:
-            if r in chosen:
-                continue
-            dfs(covered | kills[r], chosen + [r])
-
-    dfs(0, [])
+        stack.extend((covered | kills[r], chosen + [r])
+                     for r in reversed(killers_of_col[target])
+                     if r not in chosen)
     assert invariably_generates(profile, best_witness)
     return best_size, best_witness
 

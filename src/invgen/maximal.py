@@ -22,8 +22,9 @@ costlier steps (BENCH_maximal.json has the orders measured).
   subgroup classes of order dividing D arise as iterated joins, of order
   dividing D, of p-subgroup classes.  Those come from a fixed Sylow by
   hyperplane descent, fused under G; join conjugates range over
-  normalizer orbits, i.e. double cosets.  Survivors not inside a found
-  class are certified maximal by a direct one-step extension scan.
+  normalizer orbits, i.e. double cosets.  Largest first, each class that
+  lies in no found class is certified maximal by a direct one-step
+  extension scan.
 
 The full-lattice route, quadratic in the number of subgroups, is far out
 of reach for the larger catalog groups; the tests cross-check the two
@@ -31,17 +32,21 @@ routes on small groups.
 
 Representation.  A subgroup is held by its indices in G's element table,
 and conjugation maps them through an index map.  The interval search asks
-for containment, so there a subgroup is a frozenset (`<=`).  The sweep's
-pool asks only for equality, so one dict keys each class by the sorted
-index tuples of all its conjugates.  In A8 its 91 classes have 37,957
-conjugates and 632,299 member references, about 88 B each in a frozenset
-and 8 B in a tuple: with tuples the sweep's traced peak fell from 65.9 MB
-to 21.6 MB, and the A8 analysis's peak RSS from 90.4 MB to 48.3 MB.
-Bitsets (ints) appear only in the public records, built once per final
-class: each image bit is set in an int as wide as the table, so
-conjugating a subgroup of 8 / 64 / 360 members of A8 took 7.5 / 126 /
-607 us as a bitset and 0.6 / 3.5 / 18 us as a frozenset (CPython 3.11,
-one core of an Intel Xeon; ratios 12 to 37 over reruns).
+for containment among the subgroups it closes, so there a subgroup is a
+frozenset (`<=`).  The sweep's pool asks only for equality, so one dict
+keys each class by the sorted index tuples of all its conjugates.  In A8
+its 91 classes have 37,957 conjugates and 632,299 member references, about
+88 B each in a frozenset and 8 B in a tuple: with tuples the sweep's traced
+peak fell from 65.9 MB to 21.6 MB, and the A8 analysis's peak RSS from
+90.4 MB to 48.3 MB.  Orbits are walked on tuples: each image bit is set in
+an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
+members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as
+a frozenset (CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over
+reruns).  A found maximal class is held once, from discovery to its
+record, as its conjugates' bitsets (ints), each converted once from the
+walked orbit; a containment test against it is one `&`.  A8's 6 classes
+have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as frozensets: with
+bitsets the search's traced peak fell from 21.6 MB to 13.1 MB.
 """
 
 from __future__ import annotations
@@ -94,10 +99,16 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _subgroup_orbit(tab, members) -> list[frozenset]:
-    """Conjugation orbit of a subgroup, as element-index sets."""
-    return list(map(frozenset, _conj_orbit(tab.conj_maps(),
-                                           tuple(sorted(members)))))
+def _orbit_bits(tab, members) -> list[int]:
+    """Conjugation orbit of a subgroup, as member bitsets."""
+    return list(map(tab.bits_of, _conj_orbit(tab.conj_maps(),
+                                             tuple(sorted(members)))))
+
+
+def _inside(bits: int, found: list[list[int]]) -> bool:
+    """Whether the subgroup with these member bits lies in a conjugate of
+    one of the found classes, each given by its conjugates' bitsets."""
+    return any(bits & m == bits for orbit in found for m in orbit)
 
 
 def _conj_orbit(maps: list[list[int]], members: tuple) -> list[tuple]:
@@ -187,15 +198,13 @@ def _sylow_indices(tab, p: int, full: int) -> list[int]:
 
 
 def _interval_maximals(tab: GroupTable, sylow_members: list[int],
-                       divisor: int, found: list[set[frozenset]]
-                       ) -> list[frozenset]:
-    """Maximal subgroups of G that contain the given Sylow subgroup P, have
-    order dividing `divisor` and lie in none of the found classes (module
-    docstring): the maximal members of the interval [P, G], cut down to
-    the proper members of order dividing the divisor, which is the join
-    closure of its one-step extensions <P, x>.  A random Schreier-Sims
-    lower bound drops a candidate before any closure when it exceeds the
-    divisor or reaches the order of a closed subgroup holding it."""
+                       divisor: int) -> list[frozenset]:
+    """The maximal members of the interval [P, G], P the given Sylow
+    subgroup, cut down to the proper members of order dividing `divisor`
+    (module docstring): the join closure of the one-step extensions
+    <P, x>.  A random Schreier-Sims lower bound drops a candidate before
+    any closure when it exceeds the divisor or reaches the order of a
+    closed subgroup holding it."""
     bound = min(divisor, tab.n - 1)
     p_gens = (small_generating_indices(tab, sylow_members) or
               [tab.identity_index])
@@ -221,13 +230,9 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
     # every element of PxP lies in <P, x>, so its order must divide divisor
     ct = conjugacy_classes(tab.group)
     fits = [divisor % c.element_order == 0 for c in ct.classes]
-    assigned = set(sylow_members)
-    for x in range(tab.n):
-        if x not in assigned:
-            pxp = tab.double_coset(sylow_members, x)
-            assigned |= pxp
-            if all(fits[ct.class_of[y]] for y in pxp):
-                record(p_gens + [x])
+    for x, pxp in tab.double_cosets(sylow_members):
+        if all(fits[ct.class_of[y]] for y in pxp):
+            record(p_gens + [x])
     frontier = proper[1:]
     while frontier:
         start = len(proper)
@@ -236,9 +241,7 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
                 if not (a <= b or b <= a):
                     record(a_gens + b_gens)
         frontier = proper[start:]
-    return [w for _, w in proper
-            if not any(w < v for _, v in proper)
-            and not any(w <= m for o in found for m in o)]
+    return [w for _, w in proper if not any(w < v for _, v in proper)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +358,20 @@ def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[tuple]
 def _certify_maximal(tab, members: tuple) -> bool:
     """Exact check: every one-step extension is the whole group."""
     gens = [tab.elements[i] for i in small_generating_indices(tab, members)]
-    assigned = set(members)
-    for x in range(tab.n):
-        if x not in assigned:           # <M, y> = <M, x> for y in MxM
-            assigned |= tab.double_coset(members, x)
-            if not generates(gens + [tab.elements[x]], tab.n):
-                return False
-    return True
+    # <M, y> = <M, x> for y in MxM
+    return all(generates(gens + [tab.elements[x]], tab.n)
+               for x, _ in tab.double_cosets(members))
 
 
 def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
-                          found_orbits: list[set[frozenset]]
-                          ) -> list[frozenset]:
-    """Certified maximal subgroups of order dividing divisor = |G|/rad|G|
-    whose classes are not conjugate into any already-found maximal class."""
+                          found: list[list[int]]) -> None:
+    """Add to `found` the classes of maximal subgroups of order dividing
+    divisor = |G|/rad|G| not in it yet, each as its conjugates' bitsets.
+    The pool's classes are walked largest first, and one is certified only
+    when it lies in no found class.  A class H that is not maximal lies in
+    a maximal M: if |M| does not divide the divisor, M's index is coprime
+    to some prime and M was found at that prime's interval; else M is a
+    larger pool class, walked and found before H."""
     pool = _ClassPool(tab)
     per_prime: dict[int, list[_ClassRec]] = {
         p: _sylow_subgroup_classes(tab, p, members, pool)
@@ -399,22 +402,10 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                         if added is not None:
                             new_recs.append((added, q))
         frontier = new_recs
-    # candidate filtering; a survivor's members become a set only here
-    survivors = [rec for rec in pool.all
-                 if not any(m.issuperset(rec.rep)
-                            for o in found_orbits for m in o)]
-    certified: list[frozenset] = []
-    survivors.sort(key=lambda r: -r.order)
-    for rec in survivors:
-        rep = frozenset(rec.rep)
-        # a certified class above rec is a larger survivor, so this skips rec
-        if any(other.order > rec.order and
-               any(rep.issubset(o) for o in other.orbit)
-               for other in survivors):
-            continue
-        if _certify_maximal(tab, rec.rep):
-            certified.append(rep)
-    return certified
+    for rec in sorted(pool.all, key=lambda r: -r.order):
+        if (not _inside(tab.bits_of(rec.rep), found)
+                and _certify_maximal(tab, rec.rep)):
+            found.append(list(map(tab.bits_of, rec.orbit)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +426,21 @@ def maximal_subgroups(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     fact = _factorize(G.order)
 
     sylows = {p: _sylow_indices(tab, p, p ** e) for p, e in fact.items()}
-    orbits: list[set[frozenset]] = []
+    found: list[list[int]] = []      # per class, its conjugates' bitsets
     divisor = G.order
     for p in sorted(fact, reverse=True):
         if len(sylows[p]) < G.order:
-            for w in _interval_maximals(tab, sylows[p], divisor, orbits):
-                if not any(w in o for o in orbits):
-                    orbits.append(set(_subgroup_orbit(tab, w)))
+            # a member inside a found class is not maximal, or is that class
+            for w in _interval_maximals(tab, sylows[p], divisor):
+                if not _inside(tab.bits_of(w), found):
+                    found.append(_orbit_bits(tab, w))
         divisor //= p
-    # the sweep returns one member of each new class
-    orbits += [set(_subgroup_orbit(tab, w))
-               for w in _sweep_small_maximals(tab, divisor, sylows, orbits)]
+    _sweep_small_maximals(tab, divisor, sylows, found)
 
     classes = []
-    for orbit in orbits:
-        obits = [tab.bits_of(s) for s in orbit]
+    for obits in found:
         rep_bits = min(obits)
-        core = tab.bits_of(frozenset.intersection(*orbit))
+        core = functools.reduce(operator.and_, obits)
         mtilde = 0
         covered = 0
         for ci, c in enumerate(ct.classes):

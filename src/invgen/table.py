@@ -22,7 +22,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
                     PermGroup)
@@ -95,13 +95,20 @@ class GroupTable:
         out = self._elem_conj_maps[gi] = list(map(a.__getitem__, a))
         return out
 
-    def double_coset(self, members: Sequence[int], x: int) -> set[int]:
-        """Indices of the double coset H * e_x * H, for the subgroup H with
-        the given members, read off image tuples as in closure."""
-        xh = list(map(self._left_getter(x),
-                      [self.elements[h].images for h in members]))
-        return {self.index[get(y)] for get in map(self._left_getter, members)
-                for y in xh}
+    def double_cosets(self, members: Sequence[int]
+                      ) -> Iterator[tuple[int, set[int]]]:
+        """Each double coset H * e_x * H other than H, for the subgroup H
+        with the given members, as (x, its indices) with x its least index;
+        read off image tuples as in closure."""
+        images = [self.elements[h].images for h in members]
+        getters = list(map(self._left_getter, members))
+        assigned = set(members)
+        for x in range(self.n):
+            if x not in assigned:
+                xh = list(map(self._left_getter(x), images))
+                hxh = {self.index[get(y)] for get in getters for y in xh}
+                assigned |= hxh
+                yield x, hxh
 
     def closure(self, gen_indices: Sequence[int], bound: Optional[int] = None
                 ) -> Optional[list[int]]:

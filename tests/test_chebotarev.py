@@ -9,8 +9,8 @@ from invgen.chebotarev import (DEFAULT_SUBSET_CAP, DistinctTildeFamily,
                                p_i_exact, p_i_sandwich_check,
                                theorem2_ratio_report)
 from invgen.generation import build_profile, d_i_exact
-from invgen.group import alternating_group, group_from_generators, \
-    symmetric_group
+from invgen.group import CapExceeded, alternating_group, \
+    group_from_generators, symmetric_group
 from invgen.maximal import maximal_subgroups
 from invgen.perm import parse_cycles
 from invgen.structure import conjugacy_classes, fuse_classes_under
@@ -80,7 +80,7 @@ def test_p_i_matches_exhaustive_oracle():
 def test_subset_cap():
     fam = distinct_tilde_family(mk("(1 2);(3 4);(5 6);(7 8)", 8))
     assert len(fam) == 15
-    with pytest.raises(ValueError, match="Monte Carlo"):
+    with pytest.raises(CapExceeded, match="Monte Carlo"):
         p_i_exact(fam, 2, cap=10)
 
 
@@ -141,7 +141,7 @@ def test_chain_on_elementary_abelian_2_groups(n):
     fam = distinct_tilde_family(G)
     assert len(fam) == 2 ** n - 1
     if len(fam) > DEFAULT_SUBSET_CAP:
-        with pytest.raises(ValueError, match="Monte Carlo"):
+        with pytest.raises(CapExceeded, match="Monte Carlo"):
             chebotarev_exact(fam)
     cap = 2 ** n - 1
     assert chebotarev_exact(fam, cap=cap) == \

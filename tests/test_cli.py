@@ -94,6 +94,14 @@ def test_cap_exit_code(capsys):
     assert data["error"] == "cap-exceeded"
 
 
+def test_subset_cap_exit_code(capsys):
+    # A5 has two distinct unions, past a subset cap of 1
+    code, data = run_json(capsys, "chebotarev", "A5", "--subset-cap", "1")
+    assert code == cli.EXIT_CAP
+    assert data["error"] == "cap-exceeded"
+    assert "subset cap 1" in data["reason"]
+
+
 def test_input_error_exit_code(capsys):
     code, data = run_json(capsys, "analyze", "NOSUCH")
     assert code == 3

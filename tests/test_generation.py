@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -145,6 +146,18 @@ def test_d_i_witness_verifies_and_is_canonical():
     assert d == 2
     assert invariably_generates(prof, witness)
     assert [prof.class_labels[r] for r in witness] == ["4", "3"]
+
+
+def test_d_i_leaves_no_cyclic_garbage():
+    # without the cycle collector, everything a call made is freed by
+    # reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        d_i_exact(build_profile(alternating_group(5)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_d_i_trivial_group():

@@ -10,8 +10,8 @@ from invgen import families
 from invgen.group import (PermGroup, alternating_group,
                           group_from_generators, power_group, symmetric_group)
 from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
-                            _normalizer_indices, _p_maximal_subgroups,
-                            _subgroup_orbit, _sylow_indices,
+                            _normalizer_indices, _orbit_bits,
+                            _p_maximal_subgroups, _sylow_indices,
                             _sylow_subgroup_classes, maximal_subgroups)
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
@@ -203,7 +203,7 @@ def test_cut_down_intervals_match_the_lattice(catalog, get_group):
                     cut = [h for h in subgroups if P <= h
                            and len(h) < G.order and divisor % len(h) == 0]
                     want = {h for h in cut if not any(h < o for o in cut)}
-                    got = _interval_maximals(tab, sorted(P), divisor, [])
+                    got = _interval_maximals(tab, sorted(P), divisor)
                     assert sorted(got, key=sorted) == sorted(
                         want, key=sorted), (e.name, p, divisor)
 
@@ -221,9 +221,9 @@ def test_sylow_subgroup_classes_match_the_lattice(catalog, get_group):
             want = set()
             for h in _lattice_sets(G):
                 if len(h) < len(P) and len(P) % len(h) == 0:
-                    want.add(min(_subgroup_orbit(tab, h), key=sorted))
+                    want.add(min(_orbit_bits(tab, h)))
             pool = _ClassPool(tab)
-            got = [frozenset(min(r.orbit))
+            got = [min(map(tab.bits_of, r.orbit))
                    for r in _sylow_subgroup_classes(tab, p, sorted(P), pool)]
             assert len(got) == len(set(got)) and set(got) == want, (e.name, p)
 
@@ -343,7 +343,6 @@ def test_core_is_normal_and_contained():
 def test_mtilde_equals_union_of_conjugates_small():
     # element-wise union of conjugates vs class-bitset route, order <= 600
     from invgen.families import catalog_group
-    from invgen.maximal import _subgroup_orbit
     for G in [symmetric_group(4), alternating_group(5),
               mk("(1 2 3 4 5);(2 3 5 4)", 5), alternating_group(6),
               mk("(1 2 3 4 5 6 7);(2 4 3 7 5 6)", 7),
@@ -352,8 +351,8 @@ def test_mtilde_equals_union_of_conjugates_small():
         ct = conjugacy_classes(G)
         for m in maximal_subgroups(G):
             union = 0
-            for s in _subgroup_orbit(tab, frozenset(m.member_indices())):
-                union |= tab.bits_of(sorted(s))
+            for b in _orbit_bits(tab, m.member_indices()):
+                union |= b
             classes_union = 0
             for ci, c in enumerate(ct.classes):
                 if (m.mtilde_class_bits >> ci) & 1:

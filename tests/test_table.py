@@ -10,6 +10,7 @@ import pytest
 
 from invgen import families
 from invgen.group import PermGroup
+from invgen.maximal import _factorize, _sylow_indices
 from invgen.perm import Perm
 from invgen.structure import chief_series, maximal_subgroups
 from invgen.table import GroupTable, conjugacy_classes
@@ -83,6 +84,28 @@ def test_elem_conj_map_matches_perm_conjugation(catalog, name):
         g = tab.elements[gi]
         want = [tab.index[(g.inverse() * x * g).images] for x in tab.elements]
         assert tab.elem_conj_map(gi) == want, (name, gi)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "AGL(1,7)"])
+def test_double_cosets_match_brute_force(catalog, name):
+    # H a Sylow subgroup for each prime, then each maximal class's
+    # representative: the double cosets partition G \ H, each is
+    # {h * x * h'}, and each comes with its least index
+    G = families.instantiate(next(e for e in catalog if e.name == name))
+    tab = GroupTable(G)
+    subgroups = [_sylow_indices(tab, p, p ** e)
+                 for p, e in _factorize(tab.n).items()]
+    subgroups += [m.member_indices() for m in maximal_subgroups(G)]
+    for members in subgroups:
+        hs = [tab.elements[h] for h in members]
+        seen = set(members)
+        for x, hxh in tab.double_cosets(members):
+            want = {tab.index[(h * tab.elements[x] * k).images]
+                    for h in hs for k in hs}
+            assert hxh == want and x == min(hxh), (name, len(members), x)
+            assert seen.isdisjoint(hxh)
+            seen |= hxh
+        assert seen == set(range(tab.n)), (name, len(members))
 
 
 def test_trivial_group_of_degree_one():
