@@ -149,3 +149,38 @@ def inclusion_exclusion(sets, class_sizes, order, ks=()
     p_i = [1 - sum((w * v ** k for v, w in weights.items()), Fraction(0))
            for k in ks]
     return c, p_i
+
+
+def naive_cyclic_subgroup_classes(elements) -> int:
+    """How many conjugacy classes of cyclic subgroups <x> there are, each
+    subgroup the closure of x, conjugated by every element."""
+    elements = list(elements)
+    seen: set[frozenset] = set()
+    count = 0
+    for C in {naive_closure([x]) for x in elements}:
+        if C not in seen:
+            count += 1
+            seen |= {frozenset(p.conjugate(g) for p in C) for g in elements}
+    return count
+
+
+def naive_fusion(reps, overgroup_elements) -> list[frozenset]:
+    """Per class representative, the indices of the representatives that
+    some element of the overgroup conjugates it to."""
+    out = []
+    for r in reps:
+        image = {r.conjugate(a) for a in overgroup_elements}
+        out.append(frozenset(j for j, s in enumerate(reps) if s in image))
+    return out
+
+
+def naive_class_tuple_orbits(elements, overgroup_elements, r: int) -> int:
+    """Orbits of the overgroup, acting by conjugation on every coordinate
+    at once, on r-tuples of the conjugacy classes of the group with these
+    elements: tuples counted by their least image under every element."""
+    classes = naive_conjugacy_classes(elements)
+    where = {p: i for i, C in enumerate(classes) for p in C}
+    actions = [[where[min(C).conjugate(a)] for C in classes]
+               for a in overgroup_elements]
+    return len({min(tuple(m[c] for c in t) for m in actions)
+                for t in product(range(len(classes)), repeat=r)})

@@ -15,6 +15,8 @@ from invgen.group import PermGroup, alternating_group, group_from_generators, \
 from invgen.perm import parse_cycles
 from invgen.structure import fuse_classes_under
 
+from oracles import naive_class_tuple_orbits
+
 
 def mk(spec, deg, name=""):
     return group_from_generators([parse_cycles(s, deg) for s in spec.split(";")],
@@ -118,6 +120,14 @@ def test_pigeonhole_a5():
     s5 = symmetric_group(5)
     assert pigeonhole_bound(a5, s5, 1) == 4
     assert pigeonhole_bound(a5, s5, 2) == 17
+
+
+def test_pigeonhole_matches_orbit_counts_under_all_of_s5():
+    a5 = alternating_group(5)
+    s5 = symmetric_group(5)
+    for r in (1, 2, 3):
+        assert pigeonhole_bound(a5, s5, r) == naive_class_tuple_orbits(
+            a5.elements(), s5.elements(), r)
 
 
 def test_pigeonhole_matches_fusion_count():

@@ -14,7 +14,8 @@ from invgen.group import PermGroup, alternating_group, group_from_generators, \
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import conjugacy_classes, fuse_classes_under
 
-from oracles import exhaustive_invariable_generation
+from oracles import (exhaustive_invariable_generation,
+                     naive_conjugacy_classes, naive_cyclic_subgroup_classes)
 
 
 def mk(spec, deg, name=""):
@@ -189,6 +190,17 @@ def test_class_count_bounds_examples():
     assert class_count_bounds(mk("(1 2 3 4 5 6)", 6)) == (6, 4)
     k, cyc = class_count_bounds(symmetric_group(4))
     assert (k, cyc) == (5, 5)
+
+
+def test_class_count_bounds_match_brute_force(catalog, get_group):
+    for entry in catalog:
+        if entry.expected_order > 120:
+            continue
+        G = get_group(entry.name)
+        elements = G.elements()
+        assert class_count_bounds(G) == (
+            len(naive_conjugacy_classes(elements)),
+            naive_cyclic_subgroup_classes(elements)), entry.name
 
 
 def test_chief_bound_reports():

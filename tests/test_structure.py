@@ -20,7 +20,8 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               quotient_group, small_generating_indices,
                               subgroup_lattice)
 
-from oracles import naive_conjugacy_classes, naive_subgroup_lattice
+from oracles import (naive_conjugacy_classes, naive_fusion,
+                     naive_subgroup_lattice)
 
 
 def mk(spec, deg, name=""):
@@ -562,6 +563,29 @@ def test_fusion_c3_in_s3():
     c3 = mk("(1 2 3)", 3)
     fm = fuse_classes_under(c3, symmetric_group(3))
     assert fm.num_fused == 2     # identity, and the two generators merge
+
+
+def _check_fusion_by_brute_force(G, A):
+    reps = [c.rep for c in conjugacy_classes(G).classes]
+    fused = naive_fusion(reps, A.elements())
+    # fused ids number the orbits by their least class index
+    orbits = list(dict.fromkeys(fused))
+    fm = fuse_classes_under(G, A)
+    assert fm.fused_classes == [tuple(sorted(o)) for o in orbits]
+    assert fm.fused_class_of == [orbits.index(f) for f in fused]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_fusion_of_alternating_groups_matches_brute_force(n):
+    _check_fusion_by_brute_force(alternating_group(n), symmetric_group(n))
+
+
+def test_fusion_of_catalog_overgroups_matches_brute_force(catalog, get_group):
+    entries = [e for e in catalog if e.overgroup is not None]
+    assert entries
+    for entry in entries:
+        _check_fusion_by_brute_force(
+            get_group(entry.name), families.resolve_overgroup(entry, catalog))
 
 
 def test_fusion_requires_normality():
