@@ -56,8 +56,7 @@ class CapExceeded(Exception):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "transversal", "inv_transversal",
-                 "verified")
+    __slots__ = ("base", "gens", "orbit", "transversal", "inv_transversal")
 
     def __init__(self, base: int):
         self.base = base
@@ -68,7 +67,6 @@ class _Level:
         # orbit; empty until the orbit is first computed
         self.transversal: list[Optional[tuple]] = []
         self.inv_transversal: list[Optional[tuple]] = []
-        self.verified = False
 
 
 class StabChain:
@@ -193,34 +191,26 @@ class StabChain:
                 self._grow_orbit(i, len(lv.orbit), new)
         return True
 
-    def _close(self, dirty_from: int) -> None:
+    def _close(self, m: int) -> None:
         """Fixpoint: every level's orbit is over its full visible generator
-        set and every Schreier generator sifts to the identity.
+        set and every Schreier generator sifts to the identity, after a
+        registration at level m.
 
-        A registration at level m only invalidates levels <= m (their visible
-        generator sets grew), so verification state of deeper levels is kept.
+        A registration at level m grows the visible generator sets of levels
+        <= m only, and every deeper level is verified: a failing residue of
+        level i registers deeper than i, and levels are verified deepest
+        first.  So the orbits of levels <= m are recomputed and the levels
+        verified downward from m, and a failure restarts at the level its
+        residue joins.
         """
-        self._mark_dirty(dirty_from)
         while True:
-            i = self._deepest_dirty()
-            if i is None:
-                return
-            failure = self._verify_level(i)
+            for i in range(m, -1, -1):
+                self._recompute_orbit(i)
+            failure = next(filter(None, map(self._verify_level,
+                                            range(m, -1, -1))), None)
             if failure is None:
-                self.levels[i].verified = True
-            else:
-                self._mark_dirty(self._register(failure))
-
-    def _mark_dirty(self, upto: int) -> None:
-        for i in range(min(upto, len(self.levels) - 1), -1, -1):
-            self._recompute_orbit(i)
-            self.levels[i].verified = False
-
-    def _deepest_dirty(self) -> Optional[int]:
-        for i in range(len(self.levels) - 1, -1, -1):
-            if not self.levels[i].verified:
-                return i
-        return None
+                return
+            m = self._register(failure)
 
     def _verify_level(self, i: int) -> Optional[tuple]:
         """Return a non-member Schreier residue of level i, or None."""
