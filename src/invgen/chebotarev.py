@@ -30,7 +30,7 @@ from typing import Optional
 from .generation import IncidenceProfile, build_profile, check_killable
 from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import MaximalClass, maximal_subgroups
-from .table import conjugacy_classes
+from .table import conjugacy_classes, orbits
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -80,13 +80,8 @@ def _chain(family: DistinctTildeFamily, cap: int
     for ci, size in enumerate(family.class_sizes):
         row = sum(1 << j for j, s in enumerate(family.sets) if s >> ci & 1)
         rows[row] = rows.get(row, 0) + size
-    seen, todo = {(1 << m) - 1}, [(1 << m) - 1]
-    while todo:
-        s = todo.pop()
-        new = {s & row for row in rows} - seen
-        seen |= new
-        todo.extend(new)
-    return rows, sorted(seen, key=lambda s: (s.bit_count(), s))
+    states = orbits([(1 << m) - 1], lambda s: [s & row for row in rows])[0]
+    return rows, sorted(states, key=lambda s: (s.bit_count(), s))
 
 
 def _hits(family: DistinctTildeFamily, upto_k: int, cap: int) -> list[int]:

@@ -9,6 +9,7 @@ socle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
 from .maximal import _normalizer_indices, _orbit_bits, maximal_subgroups
 from .perm import Perm, parse_cycles
 from .structure import normal_closure_bits
-from .table import conjugacy_classes, group_table
+from .table import conjugacy_classes, group_table, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,14 @@ class TupleMatrix:
         return [embed_tuple(row, self.k) for row in self.entries]
 
 
+def _aut_related(c: Sequence[Perm], d: Sequence[Perm],
+                 a_elements: Sequence[Perm]) -> bool:
+    """Whether conjugation by some a maps column c to column d, entry by
+    entry."""
+    return any(all(x.conjugate(a) == y for x, y in zip(c, d))
+               for a in a_elements)
+
+
 def kl_criterion_check(T: PermGroup, A: PermGroup, M: TupleMatrix,
                        cross_check: bool = False) -> bool:
     """Do the rows of M generate the full direct power T^k?
@@ -123,22 +132,12 @@ def kl_criterion_check(T: PermGroup, A: PermGroup, M: TupleMatrix,
         for g in T.generators:
             if not T.contains(g.conjugate(a)):
                 raise ValueError("A does not normalize T")
-    ok = True
-    for j in range(M.k):
-        if not generates(M.column(j), T.order):
-            ok = False
-            break
+    cols = [M.column(j) for j in range(M.k)]
+    ok = all(generates(col, T.order) for col in cols)
     if ok:
-        cols = [M.column(j) for j in range(M.k)]
         a_elements = A.elements()
-        for j in range(M.k):
-            for l in range(j + 1, M.k):
-                if any(all(cols[j][i].conjugate(a) == cols[l][i]
-                           for i in range(M.r)) for a in a_elements):
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = not any(_aut_related(c, d, a_elements)
+                     for c, d in itertools.combinations(cols, 2))
     if cross_check:
         power = power_group(T, M.k)
         generated = PermGroup(M.rows_as_power_elements())
@@ -172,10 +171,7 @@ def search_generating_matrix(T: PermGroup, A: PermGroup, r: int, k: int,
         cand = tuple(T.random_element(rng) for _ in range(r))
         if not generates(cand, T.order):
             continue
-        clash = any(
-            all(cand[i].conjugate(a) == col[i] for i in range(r))
-            for col in cols for a in a_elements)
-        if clash:
+        if any(_aut_related(cand, col, a_elements) for col in cols):
             continue
         cols.append(cand)
     if len(cols) < k:
@@ -203,23 +199,8 @@ def pigeonhole_bound(T: PermGroup, A: PermGroup, r: int) -> int:
                 raise ValueError("A does not normalize T")
         maps.append([ct.class_of_element(c.rep.conjugate(a))
                      for c in ct.classes])
-    from itertools import product
-    seen: set[tuple] = set()
-    orbits = 0
-    for tup in product(range(kcl), repeat=r):
-        if tup in seen:
-            continue
-        orbits += 1
-        queue = [tup]
-        seen.add(tup)
-        while queue:
-            cur = queue.pop()
-            for m in maps:
-                nxt = tuple(m[c] for c in cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return orbits
+    return len(orbits(itertools.product(range(kcl), repeat=r),
+                      lambda t: [tuple(m[c] for c in t) for m in maps]))
 
 
 # ---------------------------------------------------------------------------

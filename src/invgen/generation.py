@@ -19,7 +19,7 @@ from .group import DEFAULT_LATTICE_CAP, PermGroup, generates
 from .maximal import maximal_subgroups
 from .perm import Perm
 from .structure import FusionMap, chief_series
-from .table import conjugacy_classes, group_table
+from .table import conjugacy_classes, group_table, orbits
 
 
 @dataclass(frozen=True)
@@ -206,25 +206,12 @@ def class_count_bounds(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     """
     ct = conjugacy_classes(G)
     k = len(ct.classes)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for ci, c in enumerate(ct.classes):
-        o = c.element_order
-        for e in range(2, o):
-            if math.gcd(e, o) == 1:
-                union(ci, ct.class_of_element(c.rep ** e))
-    cyclic = len({find(i) for i in range(k)})
+    powers = [[ct.class_of_element(c.rep ** e)
+               for e in range(2, c.element_order)
+               if math.gcd(e, c.element_order) == 1] for c in ct.classes]
+    # e is invertible mod the element order, so the power relation is
+    # symmetric and its orbits are its connected components
+    cyclic = len(orbits(range(k), powers.__getitem__))
     profile = build_profile(G, cap=cap)
     d_i, _ = d_i_exact(profile)
     assert d_i <= cyclic <= k

@@ -38,15 +38,16 @@ keys each class by the sorted index tuples of all its conjugates.  In A8
 its 91 classes have 37,957 conjugates and 632,299 member references, about
 88 B each in a frozenset and 8 B in a tuple: with tuples the sweep's traced
 peak fell from 65.9 MB to 21.6 MB, and the A8 analysis's peak RSS from
-90.4 MB to 48.3 MB.  Orbits are walked on tuples: each image bit is set in
-an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
-members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as
-a frozenset (CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over
-reruns).  A found maximal class is held once, from discovery to its
-record, as its conjugates' bitsets (ints), each converted once from the
-walked orbit; a containment test against it is one `&`.  A8's 6 classes
-have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as frozensets: with
-bitsets the search's traced peak fell from 21.6 MB to 13.1 MB.
+90.4 MB to 48.3 MB.  Orbits are walked on tuples, by `_conj_orbits`: in a
+bitset each image bit is set in an int as wide as the table, so conjugating
+a subgroup of 8 / 64 / 360 members of A8 took 7.5 / 126 / 607 us as a
+bitset and 0.6 / 3.5 / 18 us as a frozenset (CPython 3.11, one core of an
+Intel Xeon; ratios 12 to 37 over reruns).  A found maximal class is held
+once, from discovery to its record, as its conjugates' bitsets (ints), each
+converted once from the walked orbit; a containment test against it is one
+`&`.  A8's 6 classes have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as
+frozensets: with bitsets the search's traced peak fell from 21.6 MB to
+13.1 MB.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Optional
 from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup,
                     _order_lower_bound, generates)
 from .table import (GroupTable, conjugacy_classes, group_table,
-                    indices_of_bits, small_generating_indices)
+                    indices_of_bits, orbits, small_generating_indices)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def _factorize(n: int) -> dict[int, int]:
 
 def _orbit_bits(tab, members) -> list[int]:
     """Conjugation orbit of a subgroup, as member bitsets."""
-    return list(map(tab.bits_of, _conj_orbit(tab.conj_maps(),
-                                             tuple(sorted(members)))))
+    return list(map(tab.bits_of, _conj_orbits(
+        tab.conj_maps(), [tuple(sorted(members))])[0]))
 
 
 def _inside(bits: int, found: list[list[int]]) -> bool:
@@ -111,18 +112,12 @@ def _inside(bits: int, found: list[list[int]]) -> bool:
     return any(bits & m == bits for orbit in found for m in orbit)
 
 
-def _conj_orbit(maps: list[list[int]], members: tuple) -> list[tuple]:
-    """Orbit of a subgroup, a sorted index tuple, under the elements with
-    these conjugation maps, breadth first."""
-    seen = {members}
-    orbit = [members]
-    for s in orbit:
-        for m in maps:
-            t = tuple(sorted(map(m.__getitem__, s)))
-            if t not in seen:
-                seen.add(t)
-                orbit.append(t)
-    return orbit
+def _conj_orbits(maps: list[list[int]], subgroups: list[tuple]
+                 ) -> list[list[tuple]]:
+    """The orbits (table.orbits) that meet the given subgroups, each a
+    sorted index tuple, under the elements with these conjugation maps."""
+    return orbits(subgroups, lambda s: [tuple(sorted(map(m.__getitem__, s)))
+                                        for m in maps])
 
 
 def _normalizer_indices(tab, members) -> list[int]:
@@ -256,7 +251,7 @@ class _ClassRec:
     def __init__(self, tab, rep: tuple):
         self.rep = rep
         self.order = len(rep)
-        self.orbit = _conj_orbit(tab.conj_maps(), rep)
+        self.orbit = _conj_orbits(tab.conj_maps(), [rep])[0]
         self.norm_gens: Optional[list[int]] = None
 
     def normalizer_gens(self, tab) -> list[int]:
@@ -346,13 +341,7 @@ def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[tuple]
     """One representative per orbit of the normalizer acting by conjugation
     on the target class (realizes double-coset conjugator enumeration)."""
     maps = [tab.elem_conj_map(gi) for gi in norm_gens]
-    reps: list[tuple] = []
-    seen: set[tuple] = set()
-    for t in targets:
-        if t not in seen:
-            reps.append(t)
-            seen.update(_conj_orbit(maps, t))
-    return reps
+    return [orbit[0] for orbit in _conj_orbits(maps, targets)]
 
 
 def _certify_maximal(tab, members: tuple) -> bool:

@@ -15,7 +15,7 @@ from .maximal import MaximalClass, maximal_subgroups
 from .perm import Perm
 from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
                     conjugacy_classes, group_table, indices_of_bits,
-                    largest_proper_divisor, small_generating_indices,
+                    largest_proper_divisor, orbits, small_generating_indices,
                     subgroup_lattice)
 
 
@@ -193,28 +193,13 @@ def fuse_classes_under(G: PermGroup, A: PermGroup) -> FusionMap:
     ct = conjugacy_classes(G)
     k = len(ct.classes)
     # class-index action of each A-generator
-    maps = []
-    for a in A.generators or [A.identity()]:
-        maps.append([ct.class_of_element(c.rep.conjugate(a)) for c in ct.classes])
-    fused_of = [-1] * k
-    fused: list[tuple] = []
-    for start in range(k):
-        if fused_of[start] >= 0:
-            continue
-        fid = len(fused)
-        orbit = [start]
-        fused_of[start] = fid
-        i = 0
-        while i < len(orbit):
-            x = orbit[i]
-            i += 1
-            for m in maps:
-                y = m[x]
-                if fused_of[y] < 0:
-                    fused_of[y] = fid
-                    orbit.append(y)
-        fused.append(tuple(sorted(orbit)))
-    return FusionMap(group=G, overgroup=A, fused_class_of=fused_of,
+    maps = [[ct.class_of_element(c.rep.conjugate(a)) for c in ct.classes]
+            for a in A.generators or [A.identity()]]
+    fused = [tuple(sorted(o))
+             for o in orbits(range(k), lambda x: [m[x] for m in maps])]
+    fid_of = {ci: fid for fid, members in enumerate(fused) for ci in members}
+    return FusionMap(group=G, overgroup=A,
+                     fused_class_of=[fid_of[ci] for ci in range(k)],
                      fused_classes=fused)
 
 

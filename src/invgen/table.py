@@ -1,7 +1,10 @@
 """The element table of an enumerable group, and what is read off it
 directly: conjugacy classes and the full subgroup lattice.  Elements are
 numbered in sorted order (identity 0); records hold bitsets over these
-indices, in a fixed canonical order so reports are reproducible.
+indices, in a fixed canonical order so reports are reproducible.  One
+breadth-first helper, ``orbits``, walks every orbit or reachable set the
+library needs without a transversal: of elements, classes, class tuples,
+subgroups and the states of the Chebotarev chain.
 
 Products in the table never build a Perm.  With (p * q)(i) = q(p(i)), the
 image tuple of g * x is x's image tuple read at g's images: one
@@ -22,7 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
                     PermGroup)
@@ -193,6 +196,30 @@ def group_table(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> GroupTable:
     return tab
 
 
+def orbits(points: Iterable, images: Callable[..., Iterable]) -> list[list]:
+    """The orbits that meet `points`, in the order the points first meet
+    them, each listed breadth first from that point; images(x) lists x's
+    images under the generators, in generator order.
+
+    For maps that are not invertible an "orbit" is the set reachable from
+    its start, less the points of earlier orbits: from one start, exactly
+    the set reachable from it.
+    """
+    seen = set()
+    out = []
+    for start in points:
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:             # also visits appended points
+                for y in images(x):
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            out.append(orbit)
+    return out
+
+
 def largest_proper_divisor(n: int) -> int:
     """n over its least prime factor (1 for n = 1).  A subgroup of a group
     of order n that is larger than this is the whole group."""
@@ -252,26 +279,9 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
     if cached is not None:
         return cached
     maps = tab.conj_maps()
-    assigned = [-1] * tab.n
-    raw: list[list[int]] = []
-    for start in range(tab.n):
-        if assigned[start] >= 0:
-            continue
-        cid = len(raw)
-        orbit = [start]
-        assigned[start] = cid
-        k = 0
-        while k < len(orbit):
-            x = orbit[k]
-            k += 1
-            for m in maps:
-                y = m[x]
-                if assigned[y] < 0:
-                    assigned[y] = cid
-                    orbit.append(y)
-        raw.append(sorted(orbit))
     keyed = []
-    for members in raw:
+    for members in map(sorted, orbits(range(tab.n),
+                                      lambda x: [m[x] for m in maps])):
         rep_index = members[0]
         rep = tab.elements[rep_index]
         keyed.append((len(members), rep.order(), rep.images, rep_index, members))

@@ -13,7 +13,7 @@ from invgen.group import PermGroup
 from invgen.maximal import _factorize, _sylow_indices
 from invgen.perm import Perm
 from invgen.structure import chief_series, maximal_subgroups
-from invgen.table import GroupTable, conjugacy_classes
+from invgen.table import GroupTable, conjugacy_classes, orbits
 
 from oracles import naive_closure
 
@@ -143,3 +143,24 @@ def test_a_dropped_group_is_freed_without_the_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_orbits_meet_points_in_order_and_walk_breadth_first():
+    # x -> x + 1 and x -> x + 3 on Z/8 is one orbit; each of its points
+    # is listed once, every image of a point before the images of the next
+    step = lambda x: [(x + 1) % 8, (x + 3) % 8]
+    assert orbits([0], step) == [[0, 1, 3, 2, 4, 6, 5, 7]]
+    # the involutions (0 1)(2 3) and (1 2) of 0..5: orbits {0..3}, {4}, {5}
+    gens = [(1, 0, 3, 2, 4, 5), (0, 2, 1, 3, 4, 5)]
+    images = lambda x: [g[x] for g in gens]
+    assert orbits([5, 3, 0, 4, 1], images) == [[5], [3, 2, 1, 0], [4]]
+    assert orbits(range(6), images) == [[0, 1, 2, 3], [4], [5]]
+
+
+def test_orbits_of_a_map_that_is_not_invertible_are_reachable_sets():
+    # states s -> s & row, as in the absorbing chain of chebotarev._chain
+    step = lambda s: [s & 0b110, s & 0b011]
+    assert orbits([0b111], step) == [[0b111, 0b110, 0b011, 0b010]]
+    # a later start keeps only what no earlier orbit holds
+    assert orbits([0b110, 0b111], step) == [[0b110, 0b010],
+                                            [0b111, 0b011]]
