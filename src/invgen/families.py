@@ -191,7 +191,6 @@ def pigeonhole_bound(T: PermGroup, A: PermGroup, r: int) -> int:
     if r < 1:
         raise ValueError("r must be >= 1")
     ct = conjugacy_classes(T)
-    kcl = len(ct.classes)
     maps = []
     for a in A.generators or [A.identity()]:
         for g in T.generators:
@@ -199,7 +198,7 @@ def pigeonhole_bound(T: PermGroup, A: PermGroup, r: int) -> int:
                 raise ValueError("A does not normalize T")
         maps.append([ct.class_of_element(c.rep.conjugate(a))
                      for c in ct.classes])
-    return len(orbits(itertools.product(range(kcl), repeat=r),
+    return len(orbits(itertools.product(range(len(ct.classes)), repeat=r),
                       lambda t: [tuple(m[c] for c in t) for m in maps]))
 
 

@@ -192,11 +192,10 @@ def fuse_classes_under(G: PermGroup, A: PermGroup) -> FusionMap:
                 raise ValueError("G is not normal in A")
     ct = conjugacy_classes(G)
     k = len(ct.classes)
-    # class-index action of each A-generator
-    maps = [[ct.class_of_element(c.rep.conjugate(a)) for c in ct.classes]
-            for a in A.generators or [A.identity()]]
-    fused = [tuple(sorted(o))
-             for o in orbits(range(k), lambda x: [m[x] for m in maps])]
+    # per class, the classes of its rep's conjugates by the A-generators
+    images = [[ct.class_of_element(c.rep.conjugate(a))
+               for a in A.generators or [A.identity()]] for c in ct.classes]
+    fused = [tuple(sorted(o)) for o in orbits(range(k), images.__getitem__)]
     fid_of = {ci: fid for fid, members in enumerate(fused) for ci in members}
     return FusionMap(group=G, overgroup=A,
                      fused_class_of=[fid_of[ci] for ci in range(k)],

@@ -278,10 +278,9 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
     cached = G._cache.get("conjugacy")
     if cached is not None:
         return cached
-    maps = tab.conj_maps()
+    images = list(zip(*tab.conj_maps()))   # x -> x's conjugates by the gens
     keyed = []
-    for members in map(sorted, orbits(range(tab.n),
-                                      lambda x: [m[x] for m in maps])):
+    for members in map(sorted, orbits(range(tab.n), images.__getitem__)):
         rep_index = members[0]
         rep = tab.elements[rep_index]
         keyed.append((len(members), rep.order(), rep.images, rep_index, members))
