@@ -2,9 +2,9 @@
 directly: conjugacy classes and the full subgroup lattice.  Elements are
 numbered in sorted order (identity 0); records hold bitsets over these
 indices, in a fixed canonical order so reports are reproducible.  One
-breadth-first helper, ``orbits``, walks every orbit or reachable set the
-library needs without a transversal: of elements, classes, class tuples,
-subgroups and the states of the Chebotarev chain.
+breadth-first helper, ``orbits``, walks the orbits and reachable sets of
+conjugacy classes, fused classes, class tuples, subgroup classes, the
+cyclic-subgroup count and the states of the Chebotarev chain.
 
 Products in the table never build a Perm.  With (p * q)(i) = q(p(i)), the
 image tuple of g * x is x's image tuple read at g's images: one
