@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +21,7 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               is_normal_bits, minimal_normal_subgroups,
                               quotient_group, small_generating_indices,
                               subgroup_lattice)
+from invgen.table import indices_of_bits, largest_proper_divisor
 
 from oracles import (naive_conjugacy_classes, naive_fusion,
                      naive_subgroup_lattice)
@@ -305,6 +308,114 @@ def test_normalizer_of_the_field_automorphism_group(get_group):
     h = frozenset(tab.closure([sigma]))
     norm = _normalizer_indices(tab, h)
     assert norm == _brute_normalizer(tab, h) and len(norm) == 18
+
+
+def _classes_of_order_dividing(tab, divisor) -> list[list[int]]:
+    # the least conjugate of each class of subgroups of order dividing the
+    # divisor: a subgroup K > 1 is <H, x> for H maximal in K, and a conjugate
+    # of K is such an extension of H's representative, so one-element
+    # extensions of the representatives reach every class
+    ct = conjugacy_classes(tab.group)
+    fits = [x for x in range(tab.n)
+            if divisor % ct.classes[ct.class_of[x]].element_order == 0]
+    seen = {1 << tab.identity_index}
+    reps = [[tab.identity_index]]
+    for h in reps:
+        gens = small_generating_indices(tab, h)
+        for x in fits:
+            k = tab.closure(gens + [x], bound=divisor)
+            if k is not None and divisor % len(k) == 0 \
+                    and tab.bits_of(k) not in seen:
+                orbit = _orbit_bits(tab, k)
+                seen.update(orbit)
+                reps.append(indices_of_bits(min(orbit)))
+    return reps
+
+
+def _is_maximal(tab, members) -> bool:
+    # every one-element extension is the whole group, which is when the
+    # closure bounded by |G|'s largest proper divisor gives None
+    gens = small_generating_indices(tab, members)
+    bound = largest_proper_divisor(tab.n)
+    inside = set(members)
+    return len(inside) < tab.n and all(
+        tab.closure(gens + [x], bound=bound) is None
+        for x in range(tab.n) if x not in inside)
+
+
+def _least_conjugate(tab, members) -> int:
+    return min(_orbit_bits(tab, members))
+
+
+def test_p_local_candidates_match_the_lattice(catalog, get_group):
+    # the maximal search's last step: on the catalog groups of order <= 720
+    # where D = |G|/rad|G| has at most two primes and no nontrivial normal
+    # subgroup has order dividing D, the maximal classes of order dividing D
+    # are core-free, and they are exactly the maximal classes among the
+    # normalizers N_G(P), P a p-subgroup, with |N_G(P)| dividing D
+    checked = []
+    for e in catalog:
+        if e.expected_order > 720:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        fact = _factorize(G.order)
+        divisor = G.order // math.prod(fact)
+        if len(fact) < 2 or len(_factorize(divisor)) > 2:
+            continue
+        small = _classes_of_order_dividing(tab, divisor)
+        if G.order <= 168:        # past that the full lattice costs minutes
+            assert {_least_conjugate(tab, h) for h in small} == {
+                _least_conjugate(tab, h) for h in _lattice_sets(G)
+                if divisor % len(h) == 0}, e.name
+        if any(len(h) > 1 and len(_orbit_bits(tab, h)) == 1 for h in small):
+            continue
+        checked.append(e.name)
+        maximal = [h for h in small if _is_maximal(tab, h)]
+        for h in maximal:
+            core = functools.reduce(operator.and_, _orbit_bits(tab, h))
+            assert core == 1 << tab.identity_index, e.name
+        pool = _ClassPool(tab)
+        normalizers = []
+        for p in _factorize(divisor):
+            sylow = _sylow_indices(tab, p, p ** fact[p])
+            for rec in _sylow_subgroup_classes(tab, p, sylow, pool):
+                norm = _normalizer_indices(tab, rec.rep)
+                if divisor % len(norm) == 0 and len(norm) < G.order:
+                    normalizers.append(norm)
+        assert {_least_conjugate(tab, n) for n in normalizers
+                if _is_maximal(tab, n)} == {
+            _least_conjugate(tab, h) for h in maximal}, e.name
+    assert checked == [
+        "C6", "C10", "C14", "C15", "S3", "A4", "A5", "A6", "S5", "S6",
+        "PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "AGL(1,5)", "AGL(1,7)",
+        "AGL(1,11)", "AGL(1,13)"]
+
+
+def test_maximals_are_core_times_normalizers(catalog, get_group):
+    # the argument behind the last step, on every catalog group of order
+    # <= 168 and every maximal class of the lattice route: a maximal M that
+    # is not normal and whose order has at most two primes is C * N_G(P),
+    # C its core and P a p-subgroup
+    for e in catalog:
+        if e.expected_order > 168:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        lattice = _lattice_sets(G)
+        proper = [h for h in lattice if len(h) < G.order]
+        p_subgroups = {_least_conjugate(tab, h): h for h in lattice
+                       if len(_factorize(len(h))) == 1}
+        normalizers = [_normalizer_indices(tab, indices_of_bits(b))
+                       for b in p_subgroups]
+        for m in proper:
+            orbit = _orbit_bits(tab, m)
+            if (len(orbit) == 1 or len(_factorize(len(m))) > 2
+                    or any(m < h for h in proper)):
+                continue
+            core = indices_of_bits(functools.reduce(operator.and_, orbit))
+            assert any(tab.bits_of(tab.closure(core + n)) in orbit
+                       for n in normalizers), (e.name, sorted(m))
 
 
 def test_maximal_search_peak_memory_s7():
