@@ -17,14 +17,39 @@ costlier steps (BENCH_maximal.json has the orders measured).
     interval, so |M'| does not divide D: its index is coprime to some
     prime in S, and its class was found at that prime.
 
-* Bounded sweep, the last step, with D = |G| / rad(|G|).  Every subgroup
-  is generated by one Sylow subgroup per prime dividing its order, so all
-  subgroup classes of order dividing D arise as iterated joins, of order
-  dividing D, of p-subgroup classes.  Those come from a fixed Sylow by
-  hyperplane descent, fused under G; join conjugates range over
-  normalizer orbits, i.e. double cosets.  Largest first, each class that
-  lies in no found class is certified maximal by a direct one-step
-  extension scan.
+* The p-local step, the last one, with D = |G| / rad(|G|).  A maximal M
+  still missing has order dividing D: its index is divisible by every
+  prime of |G|, so it is not prime and M is not normal.
+  - Why normalizers are enough.  Let C = core_G(M).  If M is solvable,
+    which holds whenever D has at most two prime divisors (Burnside's
+    p^a q^b theorem), M/C has a nontrivial normal p-subgroup for some p;
+    let Q be its preimage and P a Sylow p-subgroup of Q.  Q is not normal
+    in G, so N_G(Q) = M; N_G(P) normalizes CP = Q, so N_G(P) <= M, and the
+    Frattini argument gives M = Q N_M(P) = C N_G(P).
+  - Why C = 1.  A nontrivial C is a normal subgroup of order dividing D,
+    so it holds the normal closure of each of its elements of prime order,
+    again of order dividing D.  The step runs only when no class of
+    elements of prime order has such a normal closure (one closure per
+    class, bounded by D), so there every missing M is core-free and is
+    N_G(P), P a p-subgroup of order dividing D.  The candidates are the
+    normalizers of the p-subgroup classes from hyperplane descent with
+    |N_G(P)| = |G| / |orbit| dividing D and below |G|.  Largest first, each
+    that lies in no found class is certified maximal by a direct one-step
+    extension scan.  A candidate that is not maximal lies in a maximal M:
+    if |M| does not divide D, M was found at an interval; else M is a
+    larger candidate, walked and found before it.
+  - p-groups.  Every maximal subgroup is normal, of index p.  By
+    Burnside's basis theorem they are the preimages of the hyperplanes of
+    G/Phi(G), each its own class; nothing is certified.
+  - The join sweep runs where the argument stops: when D has three or more
+    primes, so that M can be nonsolvable (the A5 diagonals of A5 x A5,
+    D = 120), or when a class of prime order has a normal closure of order
+    dividing D (S4 and C12 in the catalog).  Every subgroup is generated by
+    one Sylow subgroup per prime dividing its order, so all subgroup
+    classes of order dividing D arise as iterated joins, of order dividing
+    D, of p-subgroup classes; join conjugates range over normalizer
+    orbits, i.e. double cosets.  Largest first, each class that lies in no
+    found class is certified maximal.
 
 The full-lattice route, quadratic in the number of subgroups, is far out
 of reach for the larger catalog groups; the tests cross-check the two
@@ -33,16 +58,16 @@ routes on small groups.
 Representation.  A subgroup is held by its indices in G's element table,
 and conjugation maps them through an index map.  The interval search asks
 for containment among the subgroups it closes, so there a subgroup is a
-frozenset (`<=`).  The sweep's pool asks only for equality, so one dict
-keys each class by the sorted index tuples of all its conjugates.  In A8
-its 91 classes have 37,957 conjugates and 632,299 member references, about
-88 B each in a frozenset and 8 B in a tuple: with tuples the sweep's traced
-peak fell from 65.9 MB to 21.6 MB, and the A8 analysis's peak RSS from
-90.4 MB to 48.3 MB.  Orbits are walked on tuples, by `_conj_orbits`: in a
-bitset each image bit is set in an int as wide as the table, so conjugating
-a subgroup of 8 / 64 / 360 members of A8 took 7.5 / 126 / 607 us as a
-bitset and 0.6 / 3.5 / 18 us as a frozenset (CPython 3.11, one core of an
-Intel Xeon; ratios 12 to 37 over reruns).  A found maximal class is held
+frozenset (`<=`).  The last step's pool asks only for equality, so one
+dict keys each class by the sorted index tuples of all its conjugates.  A
+member reference costs about 88 B in a frozenset and 8 B in a tuple: in
+the join sweep's pool on A8 (91 classes, 37,957 conjugates) tuples cut the
+traced peak from 65.9 MB to 21.6 MB (BENCH_pool.json).  Orbits are
+walked on tuples, by `_conj_orbits`: in a bitset each image bit is set in
+an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
+members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as
+a frozenset (CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over
+reruns).  A found maximal class is held
 once, from discovery to its record, as its conjugates' bitsets (ints), each
 converted once from the walked orbit; a containment test against it is one
 `&`.  A8's 6 classes have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as
@@ -355,12 +380,55 @@ def _certify_maximal(tab, members: tuple) -> bool:
 def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                           found: list[list[int]]) -> None:
     """Add to `found` the classes of maximal subgroups of order dividing
-    divisor = |G|/rad|G| not in it yet, each as its conjugates' bitsets.
-    The pool's classes are walked largest first, and one is certified only
-    when it lies in no found class.  A class H that is not maximal lies in
-    a maximal M: if |M| does not divide the divisor, M's index is coprime
-    to some prime and M was found at that prime's interval; else M is a
-    larger pool class, walked and found before H."""
+    divisor = |G|/rad|G| not in it yet, each as its conjugates' bitsets: the
+    hyperplanes of a p-group, else the p-local step where it applies, else
+    the join sweep (module docstring)."""
+    if len(sylows) == 1:
+        (p, members), = sylows.items()
+        found.extend([tab.bits_of(m)] for m in
+                     _p_maximal_subgroups(tab, p, frozenset(members)))
+        return
+    primes = _factorize(divisor)
+    if len(primes) > 2 or _small_normal_closure(tab, divisor, primes):
+        _join_sweep(tab, divisor, sylows, found)
+        return
+    pool = _ClassPool(tab)
+    # |N_G(P)| = |G|/|orbit|; largest first, so a candidate that is not
+    # maximal lies in a maximal candidate walked and found before it
+    recs = sorted((rec for p in primes
+                   for rec in _sylow_subgroup_classes(tab, p, sylows[p], pool)
+                   if len(rec.orbit) > 1
+                   and divisor % (tab.n // len(rec.orbit)) == 0),
+                  key=lambda r: len(r.orbit))
+    for rec in recs:
+        norm = _normalizer_indices(tab, rec.rep)
+        if (not _inside(tab.bits_of(norm), found)
+                and _certify_maximal(tab, norm)):
+            found.append(_orbit_bits(tab, norm))
+
+
+def _small_normal_closure(tab, divisor: int, primes) -> bool:
+    """Whether some class of elements of prime order has a normal closure
+    (the subgroup its members generate) of order dividing the divisor, whose
+    prime factors are given; only a class of order p among them can."""
+    ct = conjugacy_classes(tab.group)
+    for c in ct.classes:
+        if c.element_order in primes:
+            closure = tab.closure(indices_of_bits(c.bits), bound=divisor)
+            if closure is not None and divisor % len(closure) == 0:
+                return True
+    return False
+
+
+def _join_sweep(tab, divisor: int, sylows: dict[int, list[int]],
+                found: list[list[int]]) -> None:
+    """The fallback of _sweep_small_maximals: every class of subgroups of
+    order dividing the divisor, as iterated joins of p-subgroup classes,
+    walked largest first, and one certified only when it lies in no found
+    class.  A class H that is not maximal lies in a maximal M: if |M| does
+    not divide the divisor, M's index is coprime to some prime and M was
+    found at that prime's interval; else M is a larger pool class, walked
+    and found before H."""
     pool = _ClassPool(tab)
     per_prime: dict[int, list[_ClassRec]] = {
         p: _sylow_subgroup_classes(tab, p, members, pool)

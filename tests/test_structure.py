@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from invgen import families
+from invgen import families, maximal
 from invgen.group import (PermGroup, alternating_group,
                           group_from_generators, power_group, symmetric_group)
 from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
@@ -268,6 +268,79 @@ def test_sweep_finds_the_diagonals_of_a5_squared():
         projections = {tuple(tab.elements[i].images[:5])
                        for i in m.member_indices()}
         assert len(projections) == 60 and m.core_bits == 1
+
+
+class _Joined(Exception):
+    pass
+
+
+def _no_join(*args):
+    raise _Joined
+
+
+@pytest.mark.parametrize("name", ["A8", "S7", "PSL(2,7)"])
+def test_p_local_step_needs_no_join(name, catalog, monkeypatch):
+    # D = |G|/rad|G| has two primes and no small normal subgroup
+    monkeypatch.setattr(maximal, "_bounded_join", _no_join)
+    from conftest import STRUCT_CAP
+    G = families.instantiate(next(e for e in catalog if e.name == name))
+    ms = maximal_subgroups(G, cap=STRUCT_CAP)
+    assert [(m.order, m.class_size) for m in ms] == ATLAS_MAXIMALS[name]
+
+
+def _l3_3():
+    # PSL(3,3) on the 13 points of PG(2,3), generated by the elementary
+    # transvections; each point is the vector whose first nonzero entry is 1
+    points = [v for v in itertools.product(range(3), repeat=3)
+              if next(filter(None, v), 0) == 1]
+    where = {v: i + 1 for i, v in enumerate(points)}
+
+    def act(i, j, v):
+        w = list(v)
+        w[i] = (w[i] + w[j]) % 3
+        lead = next(filter(None, w))
+        return where[tuple(x * lead % 3 for x in w)]   # lead^-1 = lead mod 3
+
+    return group_from_generators([
+        Perm([act(i, j, v) for v in points])
+        for i, j in itertools.permutations(range(3), 2)])
+
+
+def test_p_local_step_finds_a_maximal_of_l3_3(monkeypatch):
+    # S4 has index 234 = 2 * 3^2 * 13 in L3(3), divisible by every prime of
+    # |G| = 5616, so no Sylow interval holds it: the p-local step finds it
+    # as the normalizer of a 2-subgroup, certified, with no join
+    monkeypatch.setattr(maximal, "_bounded_join", _no_join)
+    certified = []
+    certify = maximal._certify_maximal
+    monkeypatch.setattr(maximal, "_certify_maximal", lambda tab, members: (
+        certified.append(len(members)) or certify(tab, members)))
+    G = _l3_3()
+    assert G.order == 5616
+    assert [(m.order, m.class_size) for m in maximal_subgroups(G)] == [
+        (432, 13), (432, 13), (39, 144), (24, 234)]
+    assert certified == [24]
+
+
+@pytest.mark.parametrize("name", ["C2^4", "D8", "Q8"])
+def test_p_group_maximals_skip_the_pool(name, catalog, monkeypatch):
+    # Burnside's basis theorem gives every maximal of a p-group, each normal
+    monkeypatch.setattr(maximal, "_ClassPool", None)
+    G = families.instantiate(next(e for e in catalog if e.name == name))
+    ms = maximal_subgroups(G)
+    k = {"C2^4": 4, "D8": 2, "Q8": 2}[name]
+    assert [(m.order, m.class_size) for m in ms] == (
+        [(G.order // 2, 1)] * (2 ** k - 1))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5^2"])
+def test_join_sweep_runs_where_the_argument_stops(name, monkeypatch):
+    # S4: V4 is normal of order D = 4; A5^2: D = 120 has three primes
+    G = {"S4": lambda: symmetric_group(4),
+         "A5^2": lambda: power_group(alternating_group(5), 2)}[name]()
+    monkeypatch.setattr(maximal, "_join_sweep", _no_join)
+    with pytest.raises(_Joined):
+        maximal_subgroups(G)
 
 
 def _brute_normalizer(tab, members) -> list[int]:
