@@ -15,21 +15,31 @@ from itertools import combinations, product
 from invgen.perm import Perm
 
 
-def naive_closure(gens, degree=None) -> frozenset:
-    gens = [g for g in gens]
-    if not gens:
-        raise ValueError("need at least one permutation")
-    ident = Perm.identity(gens[0].degree)
+def _tuple(p: Perm) -> tuple:
+    return tuple(i - 1 for i in p.images)
+
+
+def _tuple_closure(gens: list[tuple]) -> frozenset:
+    """The subgroup generated by 0-based image tuples, by worklist products
+    (x * g)[i] = g[x[i]]: the oracles multiply plain tuples, not Perms."""
+    ident = tuple(range(len(gens[0])))
     members = {ident}
     work = [ident]
     while work:
         x = work.pop()
         for g in gens:
-            y = x * g
+            y = tuple([g[i] for i in x])
             if y not in members:
                 members.add(y)
                 work.append(y)
     return frozenset(members)
+
+
+def naive_closure(gens, degree=None) -> frozenset:
+    gens = [_tuple(g) for g in gens]
+    if not gens:
+        raise ValueError("need at least one permutation")
+    return frozenset(Perm([i + 1 for i in x]) for x in _tuple_closure(gens))
 
 
 def naive_conjugacy_classes(elements) -> list[frozenset]:
@@ -51,9 +61,10 @@ def naive_subgroup_lattice(elements) -> set[frozenset]:
     trivial subgroup (reaches everything: each subgroup is a one-element
     extension of any of its maximal subgroups).  Each node carries the
     generator list it was built from, so the extension closures stay cheap.
+    The search runs on 0-based image tuples; the result is in Perms.
     """
-    elements = list(elements)
-    ident = next(p for p in elements if p.is_identity())
+    perm_of = {_tuple(p): p for p in elements}
+    ident = next(x for x in perm_of if x == tuple(range(len(x))))
     trivial = frozenset([ident])
     found: dict[frozenset, list] = {trivial: []}
     frontier = [trivial]
@@ -61,15 +72,15 @@ def naive_subgroup_lattice(elements) -> set[frozenset]:
         new = []
         for H in frontier:
             base_gens = found[H]
-            for x in elements:
+            for x in perm_of:
                 if x in H:
                     continue
-                K = naive_closure(base_gens + [x])
+                K = _tuple_closure(base_gens + [x])
                 if K not in found:
                     found[K] = base_gens + [x]
                     new.append(K)
         frontier = new
-    return set(found)
+    return {frozenset(map(perm_of.__getitem__, H)) for H in found}
 
 
 def naive_maximal_classes(elements, lattice=None) -> list[list[frozenset]]:
