@@ -67,12 +67,11 @@ walked on tuples, by `_conj_orbits`: in a bitset each image bit is set in
 an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
 members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as
 a frozenset (CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over
-reruns).  A found maximal class is held
-once, from discovery to its record, as its conjugates' bitsets (ints), each
-converted once from the walked orbit; a containment test against it is one
-`&`.  A8's 6 classes have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as
-frozensets: with bitsets the search's traced peak fell from 21.6 MB to
-13.1 MB.
+reruns).  A found maximal class is held once, from discovery to its
+record, as its conjugates' bitsets (ints), each converted once from the
+walked orbit; a containment test against it is one `&`.  A8's 6 classes
+have 157 conjugates, 0.39 MB as bitsets and 8.9 MB as frozensets: with
+bitsets the search's traced peak fell from 21.6 MB to 13.1 MB.
 """
 
 from __future__ import annotations
