@@ -392,8 +392,8 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
         _join_sweep(tab, divisor, sylows, found)
         return
     pool = _ClassPool(tab)
-    # |N_G(P)| = |G|/|orbit|; largest first, so a candidate that is not
-    # maximal lies in a maximal candidate walked and found before it
+    # |N_G(P)| = |G|/|orbit|, a multiple of |P|; largest first, so a
+    # candidate that is not maximal lies in one walked and found before it
     recs = sorted((rec for p in primes
                    for rec in _sylow_subgroup_classes(tab, p, sylows[p], pool)
                    if len(rec.orbit) > 1
@@ -421,13 +421,11 @@ def _small_normal_closure(tab, divisor: int, primes) -> bool:
 
 def _join_sweep(tab, divisor: int, sylows: dict[int, list[int]],
                 found: list[list[int]]) -> None:
-    """The fallback of _sweep_small_maximals: every class of subgroups of
-    order dividing the divisor, as iterated joins of p-subgroup classes,
-    walked largest first, and one certified only when it lies in no found
-    class.  A class H that is not maximal lies in a maximal M: if |M| does
-    not divide the divisor, M's index is coprime to some prime and M was
-    found at that prime's interval; else M is a larger pool class, walked
-    and found before H."""
+    """The fallback of _sweep_small_maximals: the classes of order dividing
+    the divisor, as iterated joins of p-subgroup classes, walked largest
+    first; one is certified only when it lies in no found class, since a
+    class that is not maximal lies in a class found at an interval or in a
+    larger pool class, found before it."""
     pool = _ClassPool(tab)
     per_prime: dict[int, list[_ClassRec]] = {
         p: _sylow_subgroup_classes(tab, p, members, pool)
