@@ -264,11 +264,11 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
 
 
 # ---------------------------------------------------------------------------
-# bounded sweep for small maximal subgroups
+# the last step: maximal subgroups of order dividing |G|/rad|G|
 
 
 class _ClassRec:
-    """A conjugacy class of subgroups found during the sweep."""
+    """A conjugacy class of subgroups held by the last step's pool."""
 
     __slots__ = ("rep", "order", "orbit", "norm_gens")
 
