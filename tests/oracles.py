@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's stabilizer chains,
 bitsets and incidence machinery: subgroups are plain frozensets of
-permutations, closures are worklist products, conjugacy is tested by
-conjugating with every group element.  Slow but obviously correct.
+permutations, closures are worklist products of plain 0-based image
+tuples, conjugacy is tested by conjugating with every group element.  Slow but obviously correct.
 """
 
 from __future__ import annotations
