@@ -123,7 +123,7 @@ def exhaustive_invariable_generation(G, elements) -> bool:
             if G.order > 1:
                 return False
             continue
-        if len(naive_closure(gens)) != G.order:
+        if len(_tuple_closure([_tuple(g) for g in gens])) != G.order:
             return False
     return True
 
