@@ -19,9 +19,10 @@ def _tuple(p: Perm) -> tuple:
     return tuple(i - 1 for i in p.images)
 
 
-def _tuple_closure(gens: list[tuple]) -> frozenset:
+def _tuple_closure(gens: list[tuple], bound=None):
     """The subgroup generated by 0-based image tuples, by worklist products
-    (x * g)[i] = g[x[i]]: the oracles multiply plain tuples, not Perms."""
+    (x * g)[i] = g[x[i]]: the oracles multiply plain tuples, not Perms.
+    With a bound, None as soon as more than `bound` members are found."""
     ident = tuple(range(len(gens[0])))
     members = {ident}
     work = [ident]
@@ -32,6 +33,8 @@ def _tuple_closure(gens: list[tuple]) -> frozenset:
             if y not in members:
                 members.add(y)
                 work.append(y)
+        if bound is not None and len(members) > bound:
+            return None
     return frozenset(members)
 
 
@@ -40,6 +43,35 @@ def naive_closure(gens, degree=None) -> frozenset:
     if not gens:
         raise ValueError("need at least one permutation")
     return frozenset(Perm([i + 1 for i in x]) for x in _tuple_closure(gens))
+
+
+def greedy_sylow_indices(elements, p: int, full: int) -> list[int]:
+    """A Sylow p-subgroup, of order `full`, of the group whose elements are
+    given in table order (identity first), as sorted indices: the greedy
+    climb without any filter.  Pass over the nonidentity elements of order
+    dividing `full` in index order and keep x whenever <Q, x> is again a
+    p-group, until |Q| = full; each <Q, x> is a bounded tuple closure."""
+    tuples = [_tuple(x) for x in elements]
+    index = {t: i for i, t in enumerate(tuples)}
+    candidates = [i for i, x in enumerate(elements)
+                  if x.order() > 1 and full % x.order() == 0]
+    gens: list[int] = []
+    members = {0}
+    while len(members) < full:
+        grew = False
+        for x in candidates:
+            if x in members:
+                continue
+            trial = _tuple_closure([tuples[i] for i in gens + [x]], full)
+            if trial is not None and full % len(trial) == 0:
+                gens.append(x)
+                members = {index[t] for t in trial}
+                grew = True
+                if len(members) == full:
+                    break
+        if not grew:
+            raise AssertionError("greedy climb stalled")
+    return sorted(members)
 
 
 def naive_conjugacy_classes(elements) -> list[frozenset]:

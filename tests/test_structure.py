@@ -23,8 +23,8 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               subgroup_lattice)
 from invgen.table import indices_of_bits, largest_proper_divisor
 
-from oracles import (naive_conjugacy_classes, naive_fusion,
-                     naive_subgroup_lattice)
+from oracles import (greedy_sylow_indices, naive_conjugacy_classes,
+                     naive_fusion, naive_subgroup_lattice)
 
 
 def mk(spec, deg, name=""):
@@ -157,6 +157,20 @@ def test_sylow_subgroups_of_every_catalog_group(catalog, get_group):
             members = _sylow_indices(tab, p, p ** k)
             assert len(members) == p ** k, (e.name, p)
             assert tab.closure(members) == members, (e.name, p)
+
+
+def test_sylow_climb_matches_the_unfiltered_oracle(catalog, get_group):
+    # the climb must pick the same Sylow subgroup, member for member, as
+    # the plain greedy climb over the p-elements in index order
+    for e in catalog:
+        if e.expected_order > 20_160:
+            continue
+        G = get_group(e.name)
+        tab = group_table(G)
+        for p, k in _factorize(G.order).items():
+            assert (_sylow_indices(tab, p, p ** k)
+                    == greedy_sylow_indices(G.elements(), p, p ** k)), \
+                (e.name, p)
 
 
 def test_p_maximal_subgroups_match_the_lattice(get_group):

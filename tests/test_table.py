@@ -13,7 +13,8 @@ from invgen.group import PermGroup
 from invgen.maximal import _factorize, _sylow_indices
 from invgen.perm import Perm
 from invgen.structure import chief_series, maximal_subgroups
-from invgen.table import GroupTable, conjugacy_classes, orbits
+from invgen.table import (GroupTable, conjugacy_classes, group_table,
+                          largest_proper_divisor, orbits)
 
 from oracles import naive_closure
 
@@ -59,6 +60,44 @@ def test_closure_matches_oracle(catalog, name, rounds):
     assert len(orders) > 1
     assert tab.n in orders or name == "A7"
     assert mixed                    # maps and itemgetters in one closure
+
+
+def _check_bounds(tab: GroupTable, gens: list[int]) -> None:
+    # None exactly when the subgroup is larger than the bound, else the
+    # naive oracle's members
+    want = sorted(tab.index[p.images]
+                  for p in naive_closure([tab.elements[i] for i in gens]))
+    h = len(want)
+    for bound in (h - 1, h, largest_proper_divisor(tab.n), tab.n - 1, None):
+        got = tab.closure(gens, bound=bound)
+        if bound is not None and h > bound:
+            assert got is None, (gens, bound)
+        else:
+            assert got == want, (gens, bound)
+
+
+@pytest.mark.parametrize("name", [e.name for e in families.load_catalog()
+                                  if e.expected_order <= 5040])
+def test_bounded_closure_matches_the_naive_oracle(catalog, get_group, name):
+    tab = group_table(get_group(name))
+    rng = random.Random(f"bounded closure {name}")
+    for _ in range(8):
+        _check_bounds(tab, rng.sample(range(tab.n),
+                                      rng.randint(1, min(4, tab.n))))
+
+
+def test_bounded_closure_of_a8_matches_the_naive_oracle(get_group):
+    # generators drawn from A8, from the A7 fixing 8 and from the A6 fixing
+    # 7 and 8, so that the walks are long and the bounds fall on both sides
+    tab = group_table(get_group("A8"))
+    rng = random.Random("bounded closure A8")
+    pools = [range(tab.n)]
+    for moved in (7, 6):
+        pools.append([i for i, p in enumerate(tab.elements)
+                      if p.images[moved:] == tuple(range(moved + 1, 9))])
+    for pool in pools:
+        for _ in range(3):
+            _check_bounds(tab, rng.sample(pool, rng.randint(1, 4)))
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "A7"])
