@@ -37,7 +37,7 @@ caller's generator, so seeded streams around it are unaffected.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .perm import Perm, _fast_perm
@@ -307,7 +307,7 @@ class PermGroup:
                 "use sampling-only paths")
         if self._elements is None:
             elems = self.chain.enumerate()
-            elems.sort()
+            elems.sort(key=attrgetter("images"))   # as Perm.__lt__, in C
             self._elements = elems
         return self._elements
 

@@ -189,18 +189,24 @@ def _sylow_indices(tab, p: int, full: int) -> list[int]:
     the current p-subgroup Q is not full, some p-element x (inside any
     Sylow overgroup of Q, e.g. in the normalizer-growth chain) satisfies
     that <Q, x> is a bigger p-group, so repeated passes terminate with a
-    full Sylow subgroup.
+    full Sylow subgroup.  Before <Q, x> is closed, x is dropped when some
+    x * g, g among Q's generators, is not a p-element: one product and one
+    class lookup each.  Every element of a p-group is a p-element, so the
+    filter drops only an x whose closure would fail; the first x kept is
+    the one the unfiltered climb keeps, and the Sylow subgroup is the same.
     """
     ct = conjugacy_classes(tab.group)
-    p_class = [full % c.element_order == 0 and c.element_order > 1
-               for c in ct.classes]
-    candidates = [i for i, c in enumerate(ct.class_of) if p_class[c]]
+    p_element = [full % c.element_order == 0 for c in ct.classes]
+    class_of = ct.class_of
+    candidates = [i for i, c in enumerate(class_of)
+                  if p_element[c] and i != tab.identity_index]
     gens: list[int] = []
     members = {tab.identity_index}
     while len(members) < full:
         grew = False
         for x in candidates:
-            if x in members:
+            if x in members or not all(p_element[class_of[tab.mult(x, g)]]
+                                       for g in gens):
                 continue
             # within the bound, a subgroup's order divides |P| = full
             # exactly when it is a p-group

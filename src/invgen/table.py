@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
-                    PermGroup)
+                    PermGroup, _PR_MISSES, _order_lower_bound)
 from .perm import Perm, format_cycles
 
 
@@ -52,6 +53,8 @@ class GroupTable:
         self._elem_conj_maps: dict[int, list[int]] = {}
         self._left_maps: dict[int, list[int]] = {}
         self._left_uses: dict[int, int] = {}
+        # what one lower-bound run of the chain costs, in table products
+        self._chain_cost = _PR_MISSES * group.degree
 
     def _left_getter(self, g: int) -> Callable[[tuple], tuple]:
         """Take x's image tuple to that of e_g * e_x."""
@@ -121,8 +124,10 @@ class GroupTable:
         generator g: through g's map when it has one, else by reading x's
         image tuple at g's images (module docstring).  Such products count
         towards g's map, which a later call builds once they reach n.  With
-        a bound, returns None as soon as the subgroup is seen to exceed it,
-        so exactly when |<gens>| > bound.
+        a bound below n, returns None as soon as the subgroup is seen or
+        proved to exceed it, so exactly when |<gens>| > bound: once the walk
+        has cost about one lower-bound run of the chain, the chain is asked
+        once (module docstring).
         """
         n = self.n
         if bound is None:
@@ -146,44 +151,52 @@ class GroupTable:
         worklist = [self.identity_index, *gens]
         for x in worklist:
             seen[x] = 1
+        # past `rent` walked elements, the chain is asked once (docstring)
+        rent = -(-self._chain_cost // len(gens)) if gens and bound < n else n
         k = 0
-        while k < len(worklist) <= bound:
-            x = worklist[k]
-            k += 1
-            for m in maps:
-                y = m[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    worklist.append(y)
-            if getters:
-                xim = elements[x].images
-                for get in getters:
-                    y = index[get(xim)]
+        for stop in (rent, n):
+            while k < stop and k < len(worklist) <= bound:
+                x = worklist[k]
+                k += 1
+                for m in maps:
+                    y = m[x]
                     if not seen[y]:
                         seen[y] = 1
                         worklist.append(y)
+                if getters:
+                    xim = elements[x].images
+                    for get in getters:
+                        y = index[get(xim)]
+                        if not seen[y]:
+                            seen[y] = 1
+                            worklist.append(y)
+            if (k == rent < len(worklist) <= bound and _order_lower_bound(
+                    [elements[g] for g in gens], bound) > bound):
+                break
         uses = self._left_uses
         for g in rented:
             uses[g] = uses.get(g, 0) + k
-        if len(worklist) > bound:
+        if k < len(worklist):         # stopped early: past the bound
             return None
         worklist.sort()
         return worklist
 
     def bits_of(self, indices: Sequence[int]) -> int:
-        b = 0
+        """The bitset of the given indices, set byte by byte: linear in n."""
+        buf = bytearray((self.n + 7) >> 3)
         for i in indices:
-            b |= 1 << i
-        return b
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def indices_of_bits(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    """The positions of the set bits, ascending: one scan of the binary
+    digits, least significant first, linear in the bit length."""
+    digits = bin(bits)[:1:-1].encode().translate(_BINARY_DIGITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def group_table(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> GroupTable:

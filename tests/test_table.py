@@ -8,13 +8,14 @@ import weakref
 
 import pytest
 
-from invgen import families
-from invgen.group import PermGroup
+from invgen import families, table
+from invgen.group import PermGroup, _order_lower_bound
 from invgen.maximal import _factorize, _sylow_indices
 from invgen.perm import Perm
-from invgen.structure import chief_series, maximal_subgroups
+from invgen.structure import (chief_series, maximal_subgroups,
+                              normal_closure_bits)
 from invgen.table import (GroupTable, conjugacy_classes, group_table,
-                          largest_proper_divisor, orbits)
+                          indices_of_bits, largest_proper_divisor, orbits)
 
 from oracles import naive_closure
 
@@ -98,6 +99,57 @@ def test_bounded_closure_of_a8_matches_the_naive_oracle(get_group):
     for pool in pools:
         for _ in range(3):
             _check_bounds(tab, rng.sample(pool, rng.randint(1, 4)))
+
+
+def test_the_chain_settles_the_normal_closures_of_a8(get_group, monkeypatch):
+    # the normal closure of every class of prime order in simple A8 is A8:
+    # its last bounded walk rents, and the chain's lower bound ends it
+    G = get_group("A8")
+    tab = group_table(G)
+    answers = []
+
+    def counted(gens, bound):
+        low = _order_lower_bound(gens, bound)
+        answers.append(low > bound)
+        return low
+
+    monkeypatch.setattr(table, "_order_lower_bound", counted)
+    for c in conjugacy_classes(G).classes:
+        if c.element_order in (2, 3, 5, 7):
+            answers.clear()
+            assert normal_closure_bits(tab, [c.rep_index]) == (1 << tab.n) - 1
+            assert answers and answers[-1], c.label
+
+
+def _one_bit_bits_of(indices) -> int:
+    b = 0
+    for i in indices:
+        b |= 1 << i
+    return b
+
+
+def _one_bit_indices_of_bits(bits: int) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+@pytest.mark.parametrize("name", ["C3", "A5", "PSL(2,11)", "S7"])
+def test_bitset_conversions_match_the_one_bit_loops(get_group, name):
+    tab = group_table(get_group(name))
+    n = tab.n
+    rng = random.Random(f"bits {name}")
+    sets = [[], [0], [n - 1], list(range(n))]
+    sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(20)]
+    for members in sets:
+        bits = _one_bit_bits_of(members)
+        shuffled = rng.sample(members, len(members))
+        assert tab.bits_of(members) == tab.bits_of(shuffled) == bits
+        assert indices_of_bits(bits) == _one_bit_indices_of_bits(bits)
+        assert indices_of_bits(bits) == members
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "A7"])
