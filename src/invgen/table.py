@@ -18,6 +18,20 @@ choices.  Its threshold is the table's own size, with nothing to tune.
 There is no Cayley table: A8's would hold 20160**2 (406M) entries, while
 its maximal search closes subgroups on 3,500 distinct generators and
 builds maps for 11.
+
+A bounded closure rents its walk the same way.  Once a walk with a bound
+below n has made about as many products as one ``_order_lower_bound`` run
+of the unverified chain costs, it asks that chain once; when the chain's
+lower bound exceeds the bound, the closure returns None at once, and
+otherwise the walk goes on to the end, having paid for one run more.  A
+run sifts at least _PR_MISSES random elements through at most one level
+per point, so the threshold is _PR_MISSES times the degree in products,
+with nothing new to tune; on six catalog groups of degree 5 to 13 a run
+cost 33 to 172 products, against thresholds of 100 to 260.  The answer
+stays exact: the product of the chain's orbit lengths is a lower bound on
+|<gens>| (group.py), so a bound it exceeds is exceeded.  On A8 the seven
+normal closures of the chief series that are the whole group end after 16
+to 80 walked elements instead of 10,080.
 """
 
 from __future__ import annotations
