@@ -91,6 +91,22 @@ def test_lattice_matches_naive_oracle():
         assert got == naive_subgroup_lattice(G.elements())
 
 
+@pytest.mark.parametrize("make, subgroups, classes", [
+    # OEIS A005432 / A000638 (S_n) and A029725 / A029726 (A_n)
+    (lambda: symmetric_group(4), 30, 11),
+    (lambda: symmetric_group(5), 156, 19),
+    (lambda: alternating_group(4), 10, 5),
+    (lambda: alternating_group(5), 59, 9),
+])
+def test_lattice_counts_match_oeis(make, subgroups, classes):
+    G = make()
+    tab = group_table(G)
+    records = subgroup_lattice(G)
+    assert len(records) == subgroups
+    assert len({_least_conjugate(tab, r.member_indices())
+                for r in records}) == classes
+
+
 def test_lattice_cap():
     with pytest.raises(CapExceeded):
         subgroup_lattice(alternating_group(5), cap=50)
@@ -282,6 +298,46 @@ def test_sweep_finds_the_diagonals_of_a5_squared():
         projections = {tuple(tab.elements[i].images[:5])
                        for i in m.member_indices()}
         assert len(projections) == 60 and m.core_bits == 1
+
+
+def _direct_product(*factors) -> PermGroup:
+    # each factor's generators act on their own block of points
+    degree = sum(f.degree for f in factors)
+    gens, offset = [], 0
+    for f in factors:
+        for g in f.generators:
+            images = list(range(1, degree + 1))
+            images[offset:offset + f.degree] = [
+                offset + g(pt) for pt in range(1, f.degree + 1)]
+            gens.append(Perm(images))
+        offset += f.degree
+    return group_from_generators(gens)
+
+
+FALLBACK_MAXIMALS = {
+    # direct products where the last step's p-local argument stops, with the
+    # (order, class size) of each maximal class, in canonical order
+    "S4xS3": (lambda: (symmetric_group(4), symmetric_group(3)),
+              [(72, 1), (72, 1), (72, 1), (48, 3), (48, 3), (36, 4)]),
+    "C2xS4": (lambda: (mk("(1 2)", 2), symmetric_group(4)),
+              [(24, 1), (24, 1), (24, 1), (16, 3), (12, 4)]),
+    "A4^2": (lambda: (alternating_group(4),) * 2,
+             [(48, 1), (48, 1), (48, 1), (48, 1), (36, 4), (36, 4)]),
+    "S3^3": (lambda: (symmetric_group(3),) * 3,
+             [(108, 1)] * 7 + [(72, 3)] * 3),
+    "A5xS3": (lambda: (alternating_group(5), symmetric_group(3)),
+              [(180, 1), (120, 3), (72, 5), (60, 6), (36, 10)]),
+}
+
+
+def _fallback_group(name) -> PermGroup:
+    return _direct_product(*FALLBACK_MAXIMALS[name][0]())
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_MAXIMALS))
+def test_direct_products_keep_their_maximal_classes(name):
+    ms = maximal_subgroups(_fallback_group(name))
+    assert [(m.order, m.class_size) for m in ms] == FALLBACK_MAXIMALS[name][1]
 
 
 class _Joined(Exception):
