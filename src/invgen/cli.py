@@ -350,8 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject out-of-range numeric options before any work runs."""
-    for name, least in (("trials", 1), ("seed", 0), ("max_order", 1)):
+    """Reject out-of-range numeric options, the caps' environment defaults
+    included, before any work runs."""
+    for name, least in (("trials", 1), ("seed", 0), ("max_order", 1),
+                        ("degree", 1), ("enum_cap", 1), ("lattice_cap", 1),
+                        ("subset_cap", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, "

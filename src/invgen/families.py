@@ -21,10 +21,11 @@ from typing import Optional, Sequence
 from .generation import build_profile, invariably_generates
 from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
                     group_from_generators, power_group, symmetric_group)
-from .maximal import _normalizer_indices, _orbit_bits, maximal_subgroups
+from .maximal import _orbit_bits, maximal_subgroups
 from .perm import Perm, parse_cycles
 from .structure import normal_closure_bits
-from .table import conjugacy_classes, group_table, orbits
+from .table import (_normalizer_indices, conjugacy_classes, group_table,
+                    orbits)
 
 
 # ---------------------------------------------------------------------------

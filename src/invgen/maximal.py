@@ -78,16 +78,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup,
                     _order_lower_bound, generates)
-from .table import (GroupTable, conjugacy_classes, group_table,
-                    indices_of_bits, orbits, small_generating_indices)
+from .table import (GroupTable, _ClassPool, _ClassRec, _conj_orbits,
+                    _normalizer_indices, conjugacy_classes, group_table,
+                    indices_of_bits, small_generating_indices,
+                    subgroup_classes)
 
 
 @dataclass(frozen=True)
@@ -134,48 +134,6 @@ def _inside(bits: int, found: list[list[int]]) -> bool:
     """Whether the subgroup with these member bits lies in a conjugate of
     one of the found classes, each given by its conjugates' bitsets."""
     return any(bits & m == bits for orbit in found for m in orbit)
-
-
-def _conj_orbits(maps: list[list[int]], subgroups: list[tuple]
-                 ) -> list[list[tuple]]:
-    """The orbits (table.orbits) that meet the given subgroups, each a
-    sorted index tuple, under the elements with these conjugation maps."""
-    return orbits(subgroups, lambda s: [tuple(sorted(map(m.__getitem__, s)))
-                                        for m in maps])
-
-
-def _normalizer_indices(tab, members) -> list[int]:
-    """Element indices of the normalizer N of the subgroup with these
-    members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
-    Schreier generators generate N, so they are closed one at a time, each
-    only if not already in the closure, until the closure reaches |N|."""
-    gen_idx = [tab.index[g.images] for g in tab.generators]
-    maps = tab.conj_maps()
-    members = tuple(sorted(members))
-    transversal = {members: tab.identity_index}
-    orbit = [members]
-    edges = []              # (t_s, g, t_sg): Schreier generator t_s g t_sg^-1
-    for s in orbit:
-        c = transversal[s]
-        for m, gi in zip(maps, gen_idx):
-            t = tuple(sorted(map(m.__getitem__, s)))
-            if t not in transversal:
-                transversal[t] = tab.mult(c, gi)
-                orbit.append(t)
-            else:
-                edges.append((c, gi, transversal[t]))
-    order = tab.n // len(orbit)
-    stab_gens: list[int] = []
-    closure = [tab.identity_index]
-    for c, gi, d in edges:
-        if len(closure) == order:
-            break
-        sg = tab.mult(tab.mult(c, gi), tab.inv(d))
-        if sg not in closure:
-            stab_gens.append(sg)
-            closure = tab.closure(stab_gens)
-    assert len(closure) * len(orbit) == tab.n, "orbit-stabilizer mismatch"
-    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -273,43 +231,6 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
 # the last step: maximal subgroups of order dividing |G|/rad|G|
 
 
-class _ClassRec:
-    """A conjugacy class of subgroups held by the last step's pool."""
-
-    __slots__ = ("rep", "order", "orbit", "norm_gens")
-
-    def __init__(self, tab, rep: tuple):
-        self.rep = rep
-        self.order = len(rep)
-        self.orbit = _conj_orbits(tab.conj_maps(), [rep])[0]
-        self.norm_gens: Optional[list[int]] = None
-
-    def normalizer_gens(self, tab) -> list[int]:
-        if self.norm_gens is None:
-            self.norm_gens = small_generating_indices(
-                tab, _normalizer_indices(tab, self.rep))
-        return self.norm_gens
-
-
-class _ClassPool:
-    """Dedups subgroups, as sorted index tuples, into conjugacy classes: one
-    dict maps every conjugate of a found class to the class's record."""
-
-    def __init__(self, tab):
-        self.tab = tab
-        self.class_of: dict[tuple, _ClassRec] = {}
-        self.all: list[_ClassRec] = []
-
-    def add(self, s: tuple) -> Optional[_ClassRec]:
-        """Register a subgroup; return the record if the class is new."""
-        if s in self.class_of:
-            return None
-        rec = _ClassRec(self.tab, s)
-        self.class_of.update(dict.fromkeys(rec.orbit, rec))
-        self.all.append(rec)
-        return rec
-
-
 def _sylow_subgroup_classes(tab, p: int, sylow_members: list[int],
                             pool: _ClassPool) -> list[_ClassRec]:
     """All G-classes of proper subgroups of the given Sylow P (every
@@ -355,25 +276,6 @@ def _p_maximal_subgroups(tab, p: int, h: frozenset) -> list[frozenset]:
             if next(filter(None, f), 0) == 1]    # one per hyperplane
 
 
-def _bounded_join(tab, a_gens: list[int], b: tuple, divisor: int
-                  ) -> Optional[tuple]:
-    """<a, b> when its order divides the divisor, else None; a_gens is
-    small_generating_indices of a, which the caller keeps for a loop."""
-    gens = a_gens + small_generating_indices(tab, b)
-    closure = tab.closure(gens, bound=divisor)
-    if closure is None or divisor % len(closure):
-        return None
-    return tuple(closure)
-
-
-def _norm_orbit_reps(tab, norm_gens: list[int], targets: list[tuple]
-                     ) -> list[tuple]:
-    """One representative per orbit of the normalizer acting by conjugation
-    on the target class (realizes double-coset conjugator enumeration)."""
-    maps = [tab.elem_conj_map(gi) for gi in norm_gens]
-    return [orbit[0] for orbit in _conj_orbits(maps, targets)]
-
-
 def _certify_maximal(tab, members: tuple) -> bool:
     """Exact check: every one-step extension is the whole group."""
     gens = [tab.elements[i] for i in small_generating_indices(tab, members)]
@@ -386,8 +288,9 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
                           found: list[list[int]]) -> None:
     """Add to `found` the classes of maximal subgroups of order dividing
     divisor = |G|/rad|G| not in it yet, each as its conjugates' bitsets: the
-    hyperplanes of a p-group, else the p-local step where it applies, else
-    the join sweep (module docstring)."""
+    hyperplanes of a p-group, else the largest first of the candidates, the
+    normalizers of the p-local step where it applies and every class of
+    order dividing the divisor where it stops (module docstring)."""
     if len(sylows) == 1:
         (p, members), = sylows.items()
         found.extend([tab.bits_of(m)] for m in
@@ -395,21 +298,20 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
         return
     primes = _factorize(divisor)
     if len(primes) > 2 or _small_normal_closure(tab, divisor, primes):
-        _join_sweep(tab, divisor, sylows, found)
-        return
-    pool = _ClassPool(tab)
-    # |N_G(P)| = |G|/|orbit|, a multiple of |P|; largest first, so a
-    # candidate that is not maximal lies in one walked and found before it
-    recs = sorted((rec for p in primes
-                   for rec in _sylow_subgroup_classes(tab, p, sylows[p], pool)
-                   if len(rec.orbit) > 1
-                   and divisor % (tab.n // len(rec.orbit)) == 0),
-                  key=lambda r: len(r.orbit))
-    for rec in recs:
-        norm = _normalizer_indices(tab, rec.rep)
-        if (not _inside(tab.bits_of(norm), found)
-                and _certify_maximal(tab, norm)):
-            found.append(_orbit_bits(tab, norm))
+        candidates = [rec.rep for rec in subgroup_classes(tab, divisor)]
+    else:
+        pool = _ClassPool(tab)
+        # |N_G(P)| = |G|/|orbit|, a multiple of |P|
+        candidates = [_normalizer_indices(tab, rec.rep) for p in primes
+                      for rec in _sylow_subgroup_classes(tab, p, sylows[p], pool)
+                      if len(rec.orbit) > 1
+                      and divisor % (tab.n // len(rec.orbit)) == 0]
+    # largest first, so a candidate that is not maximal lies in one walked
+    # and found before it, or in a class found at an interval
+    for members in sorted(candidates, key=len, reverse=True):
+        if (not _inside(tab.bits_of(members), found)
+                and _certify_maximal(tab, members)):
+            found.append(_orbit_bits(tab, members))
 
 
 def _small_normal_closure(tab, divisor: int, primes) -> bool:
@@ -423,49 +325,6 @@ def _small_normal_closure(tab, divisor: int, primes) -> bool:
             if closure is not None and divisor % len(closure) == 0:
                 return True
     return False
-
-
-def _join_sweep(tab, divisor: int, sylows: dict[int, list[int]],
-                found: list[list[int]]) -> None:
-    """The fallback of _sweep_small_maximals: the classes of order dividing
-    the divisor, as iterated joins of p-subgroup classes, walked largest
-    first; one is certified only when it lies in no found class, since a
-    class that is not maximal lies in a class found at an interval or in a
-    larger pool class, found before it."""
-    pool = _ClassPool(tab)
-    per_prime: dict[int, list[_ClassRec]] = {
-        p: _sylow_subgroup_classes(tab, p, members, pool)
-        for p, members in sylows.items()}
-    primes = sorted(per_prime)
-    # every subgroup is the join of one Sylow per prime of its order, built
-    # here in increasing-prime order: partials tagged with their top prime
-    # only ever join classes of strictly larger primes
-    frontier: list[tuple[_ClassRec, int]] = [
-        (r, p) for p in primes for r in per_prime[p]]
-    while frontier:
-        new_recs: list[tuple[_ClassRec, int]] = []
-        for rec, top in frontier:
-            for q in primes:
-                if q <= top:
-                    continue
-                for q_rec in per_prime[q]:
-                    if divisor % math.lcm(rec.order, q_rec.order):
-                        continue
-                    # enumerate conjugators over the cheaper side's orbit
-                    moving, fixed = sorted((rec, q_rec), key=lambda r: (
-                        len(r.orbit) * r.order))
-                    norm = fixed.normalizer_gens(tab)
-                    fixed_gens = small_generating_indices(tab, fixed.rep)
-                    for m in _norm_orbit_reps(tab, norm, moving.orbit):
-                        j = _bounded_join(tab, fixed_gens, m, divisor)
-                        added = pool.add(j) if j and j != fixed.rep else None
-                        if added is not None:
-                            new_recs.append((added, q))
-        frontier = new_recs
-    for rec in sorted(pool.all, key=lambda r: -r.order):
-        if (not _inside(tab.bits_of(rec.rep), found)
-                and _certify_maximal(tab, rec.rep)):
-            found.append(list(map(tab.bits_of, rec.orbit)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ to 80 walked elements instead of 10,080.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from itertools import compress
@@ -337,6 +338,125 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
 
 
 # ---------------------------------------------------------------------------
+# conjugacy classes of subgroups
+
+
+def _conj_orbits(maps: list[list[int]], subgroups: list[tuple]
+                 ) -> list[list[tuple]]:
+    """The orbits (orbits) that meet the given subgroups, each a sorted
+    index tuple, under the elements with these conjugation maps."""
+    return orbits(subgroups, lambda s: [tuple(sorted(map(m.__getitem__, s)))
+                                        for m in maps])
+
+
+def _normalizer_indices(tab: GroupTable, members) -> list[int]:
+    """Element indices of the normalizer N of the subgroup with these
+    members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
+    Schreier generators generate N, so they are closed one at a time, each
+    only if not already in the closure, until the closure reaches |N|."""
+    gen_idx = [tab.index[g.images] for g in tab.generators]
+    maps = tab.conj_maps()
+    members = tuple(sorted(members))
+    transversal = {members: tab.identity_index}
+    orbit = [members]
+    edges = []              # (t_s, g, t_sg): Schreier generator t_s g t_sg^-1
+    for s in orbit:
+        c = transversal[s]
+        for m, gi in zip(maps, gen_idx):
+            t = tuple(sorted(map(m.__getitem__, s)))
+            if t not in transversal:
+                transversal[t] = tab.mult(c, gi)
+                orbit.append(t)
+            else:
+                edges.append((c, gi, transversal[t]))
+    order = tab.n // len(orbit)
+    stab_gens: list[int] = []
+    closure = [tab.identity_index]
+    for c, gi, d in edges:
+        if len(closure) == order:
+            break
+        sg = tab.mult(tab.mult(c, gi), tab.inv(d))
+        if sg not in closure:
+            stab_gens.append(sg)
+            closure = tab.closure(stab_gens)
+    assert len(closure) * len(orbit) == tab.n, "orbit-stabilizer mismatch"
+    return closure
+
+
+class _ClassRec:
+    """A conjugacy class of subgroups held by a _ClassPool."""
+
+    __slots__ = ("rep", "orbit")
+
+    def __init__(self, tab: GroupTable, rep: tuple):
+        self.rep = rep
+        self.orbit = _conj_orbits(tab.conj_maps(), [rep])[0]
+
+
+class _ClassPool:
+    """Dedups subgroups, as sorted index tuples, into conjugacy classes: one
+    dict maps every conjugate of a found class to the class's record."""
+
+    def __init__(self, tab: GroupTable):
+        self.tab = tab
+        self.class_of: dict[tuple, _ClassRec] = {}
+        self.all: list[_ClassRec] = []
+
+    def add(self, s: tuple) -> Optional[_ClassRec]:
+        """Register a subgroup; return the record if the class is new."""
+        if s in self.class_of:
+            return None
+        rec = _ClassRec(self.tab, s)
+        self.class_of.update(dict.fromkeys(rec.orbit, rec))
+        self.all.append(rec)
+        return rec
+
+
+def subgroup_classes(tab: GroupTable, divisor: int) -> list[_ClassRec]:
+    """Every conjugacy class of subgroups of order dividing `divisor`, one
+    record each, the trivial class first, then in the order found.
+
+    The walk visits each record, new ones too, in pool order.  Its
+    representative K is extended by one x per N_G(K)-orbit on the elements
+    x outside K of order a power of a prime p, dividing the divisor, with
+    x^p in K; <K, x> joins the pool when its order divides the divisor.
+    No class is missed.  A subgroup H > 1 is generated by its elements of
+    prime-power order (each element is a product of prime-power powers of
+    itself), so for K maximal in H some such y lies outside K; of y, y^p,
+    y^(p^2), ..., the last one outside K is an x as above, and H = <K, x>,
+    where |x| divides |H|, which divides the divisor.  By induction on |H|,
+    K's class has a record, with representative K^g; then H^g = <K^g, x^g>,
+    and some n in N_G(K^g) moves x^g, a candidate for K^g, to the chosen
+    member of its orbit, so a conjugate of H is closed and pooled.
+    """
+    ct = conjugacy_classes(tab.group)
+    primes = []
+    for c in ct.classes:
+        o = c.element_order
+        p = o // largest_proper_divisor(o)      # o's least prime
+        # o is a power of p exactly when it divides p**k, k >= log2(o)
+        fits = o > 1 and divisor % o == 0 and p ** o.bit_length() % o == 0
+        primes.append(p if fits else 0)
+    powers = []                                 # (x, x^p) for each candidate
+    for x, c in enumerate(ct.class_of):
+        if primes[c]:
+            powers.append((x, functools.reduce(tab.mult, [x] * primes[c])))
+    pool = _ClassPool(tab)
+    pool.add((tab.identity_index,))
+    for rec in pool.all:                        # also visits appended records
+        k_gens = small_generating_indices(tab, rec.rep)
+        maps = [tab.elem_conj_map(g) for g in small_generating_indices(
+            tab, _normalizer_indices(tab, rec.rep))]
+        inside = set(rec.rep)
+        outside = [x for x, xp in powers if xp in inside and x not in inside]
+        for orbit in orbits(outside, lambda x: [m[x] for m in maps]):
+            members = tab.closure(k_gens + [orbit[0]], bound=divisor)
+            if members is not None and divisor % len(members) == 0:
+                pool.add(tuple(members))
+    return pool.all
+
+
+# ---------------------------------------------------------------------------
 # the full subgroup lattice
 
 
@@ -350,61 +470,20 @@ class SubgroupRecord:
         return indices_of_bits(self.bits)
 
 
-def _cyclic_seeds(tab: GroupTable) -> dict[int, SubgroupRecord]:
-    seeds: dict[int, SubgroupRecord] = {}
-    ident = 1 << tab.identity_index
-    seeds[ident] = SubgroupRecord(bits=ident, order=1, gen_indices=())
-    for i in range(tab.n):
-        if i == tab.identity_index:
-            continue
-        members = [tab.identity_index]
-        x = i
-        while x != tab.identity_index:
-            members.append(x)
-            x = tab.mult(x, i)
-        bits = tab.bits_of(members)
-        if bits not in seeds:
-            seeds[bits] = SubgroupRecord(bits=bits, order=len(members),
-                                         gen_indices=(i,))
-    return seeds
-
-
 def subgroup_lattice(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                      ) -> list[SubgroupRecord]:
-    """Every subgroup of G, exactly once, in canonical (order, bits) order.
-
-    Algorithm: seed with all cyclic subgroups, then close under pairwise
-    join, deduplicating by member bitset.  Exhaustive but quadratic in the
-    number of subgroups; intended for small groups (the profile machinery
-    uses the dedicated maximal-class search instead).
-    """
+    """Every subgroup of G, exactly once, in canonical (order, bits) order:
+    the classes of subgroup_classes, each expanded by its orbit."""
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
     cached = G._cache.get("lattice")
     if cached is not None:
         return cached
     tab = group_table(G)
-    found = _cyclic_seeds(tab)
-    frontier = list(found.values())
-    while frontier:
-        new_records: list[SubgroupRecord] = []
-        all_records = list(found.values())
-        for rec_h in frontier:
-            for rec_k in all_records:
-                union = rec_h.bits | rec_k.bits
-                if union == rec_h.bits or union == rec_k.bits:
-                    continue
-                if union in found:
-                    continue
-                gens = tuple(sorted(set(rec_h.gen_indices) | set(rec_k.gen_indices)))
-                members = tab.closure(gens)
-                bits = tab.bits_of(members)
-                if bits not in found:
-                    rec = SubgroupRecord(bits=bits, order=len(members),
-                                         gen_indices=gens)
-                    found[bits] = rec
-                    new_records.append(rec)
-        frontier = new_records
-    records = sorted(found.values(), key=lambda r: (r.order, r.bits))
+    records = sorted(
+        (SubgroupRecord(bits=tab.bits_of(s), order=len(s), gen_indices=tuple(
+            small_generating_indices(tab, s)))
+         for rec in subgroup_classes(tab, tab.n) for s in rec.orbit),
+        key=lambda r: (r.order, r.bits))
     G._cache["lattice"] = records
     return records

@@ -147,6 +147,10 @@ def test_sweep_prop24_small(capsys):
     ("chebotarev", "A5", "--mc", "--seed", "-2"),
     ("sweep", "theorem1", "--max-order", "0"),
     ("sweep", "lemma23", "--max-order", "-3"),
+    ("analyze", "A5", "--lattice-cap", "-5"),
+    ("analyze", "A5", "--enum-cap", "0"),
+    ("chebotarev", "A5", "--subset-cap", "-1"),
+    ("analyze", "--gens", "(1 2)", "--degree", "0"),
 ])
 def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
     def no_work(args):
@@ -155,7 +159,7 @@ def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
     code, data = run_json(capsys, *argv)
     assert code == 3
     assert data["error"] == "input"
-    assert argv[-2] in data["reason"]
+    assert f"{argv[-2]} must be >=" in data["reason"]
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -209,6 +213,19 @@ def test_non_integer_cap_variable_is_an_input_error(capsys, monkeypatch, var):
     assert code == cli.EXIT_INPUT
     assert data["error"] == "input"
     assert var in data["reason"] and "'abc'" in data["reason"]
+
+
+@pytest.mark.parametrize("var, value, flag", [
+    (cli.ENV_ENUM_CAP, "0", "--enum-cap"),
+    (cli.ENV_LATTICE_CAP, "-5", "--lattice-cap"),
+    (cli.ENV_SUBSET_CAP, "-1", "--subset-cap"),
+])
+def test_out_of_range_cap_variable_is_an_input_error(capsys, monkeypatch,
+                                                     var, value, flag):
+    monkeypatch.setenv(var, value)
+    code, data = run_json(capsys, "analyze", "A5")
+    assert code == cli.EXIT_INPUT
+    assert data["error"] == "input" and flag in data["reason"]
 
 
 def test_integer_cap_variable_sets_the_default(capsys, monkeypatch):

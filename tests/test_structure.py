@@ -11,8 +11,7 @@ import pytest
 from invgen import families, maximal
 from invgen.group import (PermGroup, alternating_group,
                           group_from_generators, power_group, symmetric_group)
-from invgen.maximal import (_ClassPool, _factorize, _interval_maximals,
-                            _normalizer_indices, _orbit_bits,
+from invgen.maximal import (_factorize, _interval_maximals, _orbit_bits,
                             _p_maximal_subgroups, _sylow_indices,
                             _sylow_subgroup_classes, maximal_subgroups)
 from invgen.perm import Perm, parse_cycles
@@ -21,7 +20,8 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               is_normal_bits, minimal_normal_subgroups,
                               quotient_group, small_generating_indices,
                               subgroup_lattice)
-from invgen.table import indices_of_bits, largest_proper_divisor
+from invgen.table import (_ClassPool, _normalizer_indices, indices_of_bits,
+                          largest_proper_divisor, subgroup_classes)
 
 from oracles import (greedy_sylow_indices, naive_conjugacy_classes,
                      naive_fusion, naive_subgroup_lattice)
@@ -91,15 +91,14 @@ def test_lattice_matches_naive_oracle():
         assert got == naive_subgroup_lattice(G.elements())
 
 
-@pytest.mark.parametrize("make, subgroups, classes", [
+@pytest.mark.parametrize("name, subgroups, classes", [
     # OEIS A005432 / A000638 (S_n) and A029725 / A029726 (A_n)
-    (lambda: symmetric_group(4), 30, 11),
-    (lambda: symmetric_group(5), 156, 19),
-    (lambda: alternating_group(4), 10, 5),
-    (lambda: alternating_group(5), 59, 9),
+    ("S4", 30, 11), ("S5", 156, 19), ("S6", 1455, 56),
+    ("A4", 10, 5), ("A5", 59, 9), ("A6", 501, 22),
 ])
-def test_lattice_counts_match_oeis(make, subgroups, classes):
-    G = make()
+def test_lattice_counts_match_oeis(name, subgroups, classes):
+    make = {"S": symmetric_group, "A": alternating_group}[name[0]]
+    G = make(int(name[1:]))
     tab = group_table(G)
     records = subgroup_lattice(G)
     assert len(records) == subgroups
@@ -147,9 +146,9 @@ def test_trivial_group_no_maximals():
 
 def test_maximal_matches_lattice_route_small(catalog, get_group):
     # independent route: maximal elements of the full subgroup lattice, on
-    # a few hand-built groups and every catalog group of order <= 168
-    small = [get_group(e.name) for e in catalog if e.expected_order <= 168]
-    assert len(small) == 30
+    # a few hand-built groups and every catalog group of order <= 720
+    small = [get_group(e.name) for e in catalog if e.expected_order <= 720]
+    assert len(small) == 34
     for G in [mk("(1 2 3 4 5 6)", 6), symmetric_group(4),
               alternating_group(5), mk("(1 2 3 4);(1 3)", 4),
               mk("(1 2 3 4 5);(2 3 5 4)", 5), *small]:
@@ -340,18 +339,18 @@ def test_direct_products_keep_their_maximal_classes(name):
     assert [(m.order, m.class_size) for m in ms] == FALLBACK_MAXIMALS[name][1]
 
 
-class _Joined(Exception):
+class _Walked(Exception):
     pass
 
 
-def _no_join(*args):
-    raise _Joined
+def _no_walk(*args):
+    raise _Walked
 
 
 @pytest.mark.parametrize("name", ["A8", "S7", "PSL(2,7)"])
 def test_p_local_step_needs_no_join(name, catalog, monkeypatch):
     # D = |G|/rad|G| has two primes and no small normal subgroup
-    monkeypatch.setattr(maximal, "_bounded_join", _no_join)
+    monkeypatch.setattr(maximal, "subgroup_classes", _no_walk)
     from conftest import STRUCT_CAP
     G = families.instantiate(next(e for e in catalog if e.name == name))
     ms = maximal_subgroups(G, cap=STRUCT_CAP)
@@ -379,8 +378,8 @@ def _l3_3():
 def test_p_local_step_finds_a_maximal_of_l3_3(monkeypatch):
     # S4 has index 234 = 2 * 3^2 * 13 in L3(3), divisible by every prime of
     # |G| = 5616, so no Sylow interval holds it: the p-local step finds it
-    # as the normalizer of a 2-subgroup, certified, with no join
-    monkeypatch.setattr(maximal, "_bounded_join", _no_join)
+    # as the normalizer of a 2-subgroup, certified, with no class walk
+    monkeypatch.setattr(maximal, "subgroup_classes", _no_walk)
     certified = []
     certify = maximal._certify_maximal
     monkeypatch.setattr(maximal, "_certify_maximal", lambda tab, members: (
@@ -404,12 +403,12 @@ def test_p_group_maximals_skip_the_pool(name, catalog, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["S4", "A5^2"])
-def test_join_sweep_runs_where_the_argument_stops(name, monkeypatch):
+def test_class_walk_runs_where_the_argument_stops(name, monkeypatch):
     # S4: V4 is normal of order D = 4; A5^2: D = 120 has three primes
     G = {"S4": lambda: symmetric_group(4),
          "A5^2": lambda: power_group(alternating_group(5), 2)}[name]()
-    monkeypatch.setattr(maximal, "_join_sweep", _no_join)
-    with pytest.raises(_Joined):
+    monkeypatch.setattr(maximal, "subgroup_classes", _no_walk)
+    with pytest.raises(_Walked):
         maximal_subgroups(G)
 
 
@@ -475,6 +474,21 @@ def _classes_of_order_dividing(tab, divisor) -> list[list[int]]:
     return reps
 
 
+@pytest.mark.parametrize("name", ["S4", "C12", "S4xS3", "S3^3", "A5xS3"])
+def test_subgroup_classes_match_one_element_extensions(name, get_group):
+    # the walk against the helper above, which extends each representative
+    # by every element, with no pool and no normalizer, at D = |G|/rad|G|
+    G = (get_group(name) if name in ("S4", "C12")
+         else _fallback_group(name))
+    tab = group_table(G)
+    divisor = G.order // math.prod(_factorize(G.order))
+    got = [_least_conjugate(tab, rec.rep)
+           for rec in subgroup_classes(tab, divisor)]
+    assert len(got) == len(set(got))
+    assert set(got) == {_least_conjugate(tab, h)
+                        for h in _classes_of_order_dividing(tab, divisor)}
+
+
 def _is_maximal(tab, members) -> bool:
     # every one-element extension is the whole group, which is when the
     # closure bounded by |G|'s largest proper divisor gives None
@@ -507,10 +521,9 @@ def test_p_local_candidates_match_the_lattice(catalog, get_group):
         if len(fact) < 2 or len(_factorize(divisor)) > 2:
             continue
         small = _classes_of_order_dividing(tab, divisor)
-        if G.order <= 168:        # past that the full lattice costs minutes
-            assert {_least_conjugate(tab, h) for h in small} == {
-                _least_conjugate(tab, h) for h in _lattice_sets(G)
-                if divisor % len(h) == 0}, e.name
+        assert {_least_conjugate(tab, h) for h in small} == {
+            _least_conjugate(tab, h) for h in _lattice_sets(G)
+            if divisor % len(h) == 0}, e.name
         if any(len(h) > 1 and len(_orbit_bits(tab, h)) == 1 for h in small):
             continue
         checked.append(e.name)
