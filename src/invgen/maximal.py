@@ -41,28 +41,24 @@ costlier steps (BENCH_maximal.json has the orders measured).
   - p-groups.  Every maximal subgroup is normal, of index p.  By
     Burnside's basis theorem they are the preimages of the hyperplanes of
     G/Phi(G), each its own class; nothing is certified.
-  - The join sweep runs where the argument stops: when D has three or more
-    primes, so that M can be nonsolvable (the A5 diagonals of A5 x A5,
-    D = 120), or when a class of prime order has a normal closure of order
-    dividing D (S4 and C12 in the catalog).  Every subgroup is generated by
-    one Sylow subgroup per prime dividing its order, so all subgroup
-    classes of order dividing D arise as iterated joins, of order dividing
-    D, of p-subgroup classes; join conjugates range over normalizer
-    orbits, i.e. double cosets.  Largest first, each class that lies in no
-    found class is certified maximal.
+  - Where the argument stops, when D has three or more primes, so that M
+    can be nonsolvable (the A5 diagonals of A5 x A5, D = 120), or when a
+    class of prime order has a normal closure of order dividing D (S4 and
+    C12 in the catalog), the candidates are every class of subgroups of
+    order dividing D, from table.subgroup_classes.  Largest first, each
+    that lies in no found class is certified maximal, as above.
 
-The full-lattice route, quadratic in the number of subgroups, is far out
-of reach for the larger catalog groups; the tests cross-check the two
-routes on small groups.
+The tests cross-check the search against the maximal members of the full
+lattice (table.subgroup_lattice) on every catalog group of order <= 720.
 
 Representation.  A subgroup is held by its indices in G's element table,
 and conjugation maps them through an index map.  The interval search asks
 for containment among the subgroups it closes, so there a subgroup is a
-frozenset (`<=`).  The last step's pool asks only for equality, so one
-dict keys each class by the sorted index tuples of all its conjugates.  A
-member reference costs about 88 B in a frozenset and 8 B in a tuple: in
-the join sweep's pool on A8 (91 classes, 37,957 conjugates) tuples cut the
-traced peak from 65.9 MB to 21.6 MB (BENCH_pool.json).  Orbits are
+frozenset (`<=`).  The class pool of table.py asks only for equality, so
+one dict keys each class by the sorted index tuples of all its conjugates.
+A member reference costs about 88 B in a frozenset and 8 B in a tuple: in
+the former join sweep's pool on A8 (91 classes, 37,957 conjugates) tuples
+cut the traced peak from 65.9 MB to 21.6 MB (BENCH_pool.json).  Orbits are
 walked on tuples, by `_conj_orbits`: in a bitset each image bit is set in
 an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
 members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as

@@ -1,10 +1,20 @@
 """The element table of an enumerable group, and what is read off it
-directly: conjugacy classes and the full subgroup lattice.  Elements are
-numbered in sorted order (identity 0); records hold bitsets over these
-indices, in a fixed canonical order so reports are reproducible.  One
-breadth-first helper, ``orbits``, walks the orbits and reachable sets of
-conjugacy classes, fused classes, class tuples, subgroup classes, the
-cyclic-subgroup count and the states of the Chebotarev chain.
+directly: conjugacy classes, classes of subgroups and the full subgroup
+lattice.  Elements are numbered in sorted order (identity 0); records hold
+bitsets over these indices, in a fixed canonical order so reports are
+reproducible.  One breadth-first helper, ``orbits``, walks the orbits and
+reachable sets of conjugacy classes, fused classes, class tuples, subgroup
+classes, normalizer orbits, the cyclic-subgroup count and the states of
+the Chebotarev chain.
+
+One walk, ``subgroup_classes``, finds the classes of subgroups of order
+dividing a given number, extending one representative per class by one
+element per normalizer orbit.  The lattice expands its classes at |G| by
+their orbits; the maximal search's last step takes them as candidates
+where its p-local argument stops.  On A6 (501 subgroups, 22 classes) the
+lattice took 0.07 s, against 28.9 s when every subgroup found was joined
+with every other (single runs, CPython 3.11 on a shared Intel Xeon host;
+BENCH_classwalk.json).
 
 Products in the table never build a Perm.  With (p * q)(i) = q(p(i)), the
 image tuple of g * x is x's image tuple read at g's images: one
@@ -343,8 +353,8 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
 
 def _conj_orbits(maps: list[list[int]], subgroups: list[tuple]
                  ) -> list[list[tuple]]:
-    """The orbits (orbits) that meet the given subgroups, each a sorted
-    index tuple, under the elements with these conjugation maps."""
+    """The orbits (by ``orbits``) that meet the given subgroups, each a
+    sorted index tuple, under the elements with these conjugation maps."""
     return orbits(subgroups, lambda s: [tuple(sorted(map(m.__getitem__, s)))
                                         for m in maps])
 

@@ -112,9 +112,12 @@ def test_lattice_cap():
 
 
 def test_lattice_records_are_subgroups():
-    for rec in subgroup_lattice(symmetric_group(4)):
+    G = symmetric_group(4)
+    tab = group_table(G)
+    for rec in subgroup_lattice(G):
         assert rec.order == rec.bits.bit_count()
         assert rec.bits & 1          # contains the identity (index 0)
+        assert tab.bits_of(tab.closure(rec.gen_indices)) == rec.bits
 
 
 # -- maximal classes --------------------------------------------------------
@@ -395,6 +398,7 @@ def test_p_local_step_finds_a_maximal_of_l3_3(monkeypatch):
 def test_p_group_maximals_skip_the_pool(name, catalog, monkeypatch):
     # Burnside's basis theorem gives every maximal of a p-group, each normal
     monkeypatch.setattr(maximal, "_ClassPool", None)
+    monkeypatch.setattr(maximal, "subgroup_classes", None)
     G = families.instantiate(next(e for e in catalog if e.name == name))
     ms = maximal_subgroups(G)
     k = {"C2^4": 4, "D8": 2, "Q8": 2}[name]
