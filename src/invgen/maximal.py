@@ -298,10 +298,10 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
     else:
         pool = _ClassPool(tab)
         # |N_G(P)| = |G|/|orbit|, a multiple of |P|
-        candidates = [_normalizer_indices(tab, rec.rep) for p in primes
-                      for rec in _sylow_subgroup_classes(tab, p, sylows[p], pool)
-                      if len(rec.orbit) > 1
-                      and divisor % (tab.n // len(rec.orbit)) == 0]
+        candidates = [_normalizer_indices(tab, r.rep) for p in primes
+                      for r in _sylow_subgroup_classes(tab, p, sylows[p], pool)
+                      if len(r.orbit) > 1
+                      and divisor % (tab.n // len(r.orbit)) == 0]
     # largest first, so a candidate that is not maximal lies in one walked
     # and found before it, or in a class found at an interval
     for members in sorted(candidates, key=len, reverse=True):
