@@ -184,11 +184,13 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
     Each trial draws uniform elements, maps them to conjugacy classes, and
     strikes out the maximal classes whose union contains every draw so far;
     the trial stops when none survive.  One generator, random.Random(seed),
-    runs the trials in order.  A draw is one randrange(|G|) call, read as an
-    index into the element table: indices and elements are in bijection, so
-    a uniform index is a uniform element.  The seed must be >= 0, since
-    Random seeds from |seed|.  A profile with a column that no row kills
-    raises ValueError, as d_i_exact does: no trial would ever stop.
+    runs the trials in order.  A draw is getrandbits(k), k the bit length
+    of |G|, redrawn while it is >= |G|: randrange(|G|)'s own rule, so the
+    same stream of indices.  It is read as an index into the element table:
+    indices and elements are in bijection, so a uniform index is a uniform
+    element.  The seed must be >= 0, since Random seeds from |seed|.  A
+    profile with a column that no row kills raises ValueError, as d_i_exact
+    does: no trial would ever stop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -203,19 +205,26 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
     for row, members in zip(profile.rows, profile.fused_members):
         for ci in members:
             row_bits[ci] = row
-    rows = [row_bits[c] for c in ct.class_of]
-    randrange = random.Random(seed).randrange
+    rows = list(map(row_bits.__getitem__, ct.class_of))
+    getrandbits = random.Random(seed).getrandbits
     n = G.order
+    k = n.bit_length()
     counts = []
     for _ in range(trials):
         alive = full
         draws = 0
         while alive:
             draws += 1
-            alive &= rows[randrange(n)]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            alive &= rows[r]
         counts.append(draws)
     mean = sum(counts) / trials
-    var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else 0.0
+    # one square per distinct count, summed in trial order: the same floats
+    square = {c: (c - mean) ** 2 for c in set(counts)}
+    var = (sum(map(square.__getitem__, counts)) / (trials - 1)
+           if trials > 1 else 0.0)
     return McEstimate(mean=mean, std_error=math.sqrt(var / trials),
                       trials=trials, seed=seed)
 

@@ -379,7 +379,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(json.dumps({"error": "cap-exceeded", "reason": str(e)}))
         return EXIT_CAP
     except (ValueError, KeyError, FileNotFoundError) as e:
-        print(json.dumps({"error": "input", "reason": str(e)}))
+        # str() of a KeyError is the repr of its message
+        reason = str(e.args[0]) if isinstance(e, KeyError) else str(e)
+        print(json.dumps({"error": "input", "reason": reason}))
         return EXIT_INPUT
     if args.format == "json":
         print(json.dumps(data, indent=2))

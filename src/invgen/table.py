@@ -451,6 +451,8 @@ def subgroup_classes(tab: GroupTable, divisor: int) -> list[_ClassRec]:
     for x, c in enumerate(ct.class_of):
         if primes[c]:
             powers.append((x, functools.reduce(tab.mult, [x] * primes[c])))
+    # a closure past |G|/p is all of G, so stop there and pool G itself
+    bound = min(divisor, largest_proper_divisor(tab.n))
     pool = _ClassPool(tab)
     pool.add((tab.identity_index,))
     for rec in pool.all:                        # also visits appended records
@@ -460,7 +462,9 @@ def subgroup_classes(tab: GroupTable, divisor: int) -> list[_ClassRec]:
         inside = set(rec.rep)
         outside = [x for x, xp in powers if xp in inside and x not in inside]
         for orbit in orbits(outside, lambda x: [m[x] for m in maps]):
-            members = tab.closure(k_gens + [orbit[0]], bound=divisor)
+            members = tab.closure(k_gens + [orbit[0]], bound=bound)
+            if members is None and bound < divisor:
+                members = range(tab.n)
             if members is not None and divisor % len(members) == 0:
                 pool.add(tuple(members))
     return pool.all

@@ -193,6 +193,13 @@ def test_check_with_a_non_member_names_it(capsys):
     assert data["reason"] == "(1 2) is not an element of A5"
 
 
+def test_unknown_group_name_is_quoted_once(capsys):
+    code, data = run_json(capsys, "chebotarev", "C1")
+    assert code == cli.EXIT_INPUT
+    assert data == {"error": "input",
+                    "reason": "no catalog entry named 'C1'"}
+
+
 def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
     from invgen import structure
 

@@ -1,10 +1,11 @@
 """The seeded Monte Carlo streams, pinned, and the draws they rest on.
 
 ``chebotarev_mc`` runs every trial of a call, in order, on one
-``random.Random(seed)``, and a draw is one ``randrange(|G|)`` call read as
-an element-table index.  The pins fix those streams; the rerun and 3-SE
-tests in test_chebotarev.py would not notice a changed stream.  The code
-order of ``StabChain.random_element`` is pinned here too.
+``random.Random(seed)``.  A draw is ``getrandbits(k)``, k the bit length
+of |G|, redrawn while it is >= |G|: ``randrange(|G|)``'s own rule, so the
+same stream, read as an element-table index.  The pins fix those streams;
+the rerun and 3-SE tests in test_chebotarev.py would not notice a changed
+stream.  The code order of ``StabChain.random_element`` is pinned here too.
 """
 
 import dataclasses
@@ -98,21 +99,40 @@ def test_random_element_is_enumerate_at_its_code(name, get_group):
 
 # -- the draws -----------------------------------------------------------------
 
-def test_one_randrange_of_the_order_per_draw(get_group, monkeypatch):
-    groups = [(G, build_profile(G)) for G in (alternating_group(5),
-                                               get_group("A6"), _trivial())]
-    calls = []
+def test_draws_are_the_randrange_stream_of_the_order(get_group, monkeypatch):
+    """The words getrandbits returns to the kernel, less those >= |G|, are
+    randrange(|G|)'s stream, and the generator ends where it would."""
+    A6 = get_group("A6")
+    groups = [(G, build_profile(G, fusion=fusion)) for G, fusion in (
+        (alternating_group(5), None),
+        (A6, fuse_classes_under(A6, symmetric_group(6))),
+        (get_group("C2^4"), None),      # order 16: half the words are >= 16
+        (_trivial(), None))]
+    Random = random.Random
+    words = []
+    made = []
 
-    class Recording(random.Random):
-        def randrange(self, *args):
-            calls.append(args)
-            return super().randrange(*args)
+    class Recording(Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def getrandbits(self, k):
+            words.append(super().getrandbits(k))
+            return words[-1]
 
     monkeypatch.setattr(random, "Random", Recording)
     for G, profile in groups:
-        calls.clear()
+        words.clear()
+        made.clear()
         est = chebotarev_mc(G, 300, seed=4, profile=profile)
-        assert calls == [(G.order,)] * round(est.mean * est.trials)
+        reference = Random(4)
+        draws = [reference.randrange(G.order)
+                 for _ in range(round(est.mean * est.trials))]
+        assert [w for w in words if w < G.order] == draws
+        (generator,) = made             # one per call
+        assert generator.getstate() == reference.getstate()
+    assert words == []                  # the trivial group: no draws
 
 
 # -- call history --------------------------------------------------------------
