@@ -227,3 +227,19 @@ def naive_class_tuple_orbits(elements, overgroup_elements, r: int) -> int:
                for a in overgroup_elements]
     return len({min(tuple(m[c] for c in t) for m in actions)
                 for t in product(range(len(classes)), repeat=r)})
+
+
+def naive_least_minimum_cover(kill_sets, num_columns):
+    """The least (size, sorted rows) over every subset of rows whose kill
+    sets cover all columns, or None when no subset does.  The subsets are
+    the 2^m bitmasks over the m rows, each tested on its own."""
+    full = (1 << num_columns) - 1
+    best = None
+    for mask in range(1 << len(kill_sets)):
+        rows = [r for r in range(len(kill_sets)) if mask >> r & 1]
+        covered = 0
+        for r in rows:
+            covered |= kill_sets[r]
+        if covered == full and (best is None or (len(rows), rows) < best):
+            best = (len(rows), rows)
+    return best

@@ -9,13 +9,16 @@ from invgen.generation import (build_profile, chief_bound_check,
                                invariably_generates,
                                invariably_generates_elements,
                                invgen_sample_refuter, profile_row_of)
+from invgen.families import resolve_overgroup
 from invgen.group import PermGroup, alternating_group, group_from_generators, \
     symmetric_group
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import conjugacy_classes, fuse_classes_under
 
+from conftest import STRUCT_CAP
 from oracles import (exhaustive_invariable_generation,
-                     naive_conjugacy_classes, naive_cyclic_subgroup_classes)
+                     naive_conjugacy_classes, naive_cyclic_subgroup_classes,
+                     naive_least_minimum_cover)
 
 
 def mk(spec, deg, name=""):
@@ -147,6 +150,25 @@ def test_d_i_witness_verifies_and_is_canonical():
     assert d == 2
     assert invariably_generates(prof, witness)
     assert [prof.class_labels[r] for r in witness] == ["4", "3"]
+
+
+def test_d_i_is_the_least_minimum_cover(catalog, get_group):
+    # every catalog group, plain and fused under its overgroup, against a
+    # cover search over all subsets of rows
+    for entry in catalog:
+        G = get_group(entry.name)
+        profiles = [build_profile(G, cap=STRUCT_CAP)]
+        if entry.overgroup is not None:
+            fm = fuse_classes_under(G, resolve_overgroup(entry, catalog))
+            profiles.append(build_profile(G, fusion=fm, cap=STRUCT_CAP))
+        for prof in profiles:
+            assert d_i_exact(prof) == naive_least_minimum_cover(
+                prof.kill, prof.num_columns), entry.name
+
+
+def test_d_i_on_c2_5():
+    G = mk("(1 2);(3 4);(5 6);(7 8);(9 10)", 10)
+    assert d_i_exact(build_profile(G)) == (5, [1, 2, 4, 8, 16])
 
 
 def test_d_i_leaves_no_cyclic_garbage():
