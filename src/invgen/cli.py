@@ -239,11 +239,10 @@ def _is_elementary_abelian_2(G: PermGroup) -> bool:
         all((g * h) == (h * g) for g in G.generators for h in G.generators)
 
 
-def _sampled_all_invgen(G: PermGroup, run: _Run, seed: int,
-                        samples: int = 200) -> bool:
+def _sampled_all_invgen(G: PermGroup, run: _Run, seed: int) -> bool:
     profile = generation.build_profile(G, cap=run.lattice_cap)
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(200):
         size = rng.randint(1, 3)
         xs = [G.random_element(rng) for _ in range(size)]
         if not generates(xs, G.order):

@@ -23,7 +23,7 @@ from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
                     group_from_generators, power_group, symmetric_group)
 from .maximal import _orbit_bits, maximal_subgroups
 from .perm import Perm, parse_cycles
-from .structure import normal_closure_bits
+from .structure import normal_closure_bits, normalizes
 from .table import (_normalizer_indices, conjugacy_classes, group_table,
                     orbits)
 
@@ -129,10 +129,8 @@ def kl_criterion_check(T: PermGroup, A: PermGroup, M: TupleMatrix,
         for t in row:
             if not T.contains(t):
                 raise ValueError("matrix entry outside T")
-    for a in A.generators:
-        for g in T.generators:
-            if not T.contains(g.conjugate(a)):
-                raise ValueError("A does not normalize T")
+    if not normalizes(A, T):
+        raise ValueError("A does not normalize T")
     cols = [M.column(j) for j in range(M.k)]
     ok = all(generates(col, T.order) for col in cols)
     if ok:
@@ -154,9 +152,9 @@ def random_tuple_matrix(T: PermGroup, r: int, k: int,
 
 
 def search_generating_matrix(T: PermGroup, A: PermGroup, r: int, k: int,
-                             seed: int, max_tries: int = 200_000
-                             ) -> Optional[TupleMatrix]:
-    """Seeded random search for a matrix passing the generation criterion.
+                             seed: int) -> Optional[TupleMatrix]:
+    """Seeded random search for a matrix passing the generation criterion,
+    or None after 200,000 sampled columns.
 
     Columns are sampled one at a time: a column is kept once it generates T
     and sits in an Aut-orbit distinct from every kept column (checked by
@@ -166,9 +164,9 @@ def search_generating_matrix(T: PermGroup, A: PermGroup, r: int, k: int,
     rng = random.Random(seed)
     a_elements = A.elements()
     cols: list[tuple] = []
-    tries = 0
-    while len(cols) < k and tries < max_tries:
-        tries += 1
+    for _ in range(200_000):
+        if len(cols) == k:
+            break
         cand = tuple(T.random_element(rng) for _ in range(r))
         if not generates(cand, T.order):
             continue
@@ -192,13 +190,10 @@ def pigeonhole_bound(T: PermGroup, A: PermGroup, r: int) -> int:
     if r < 1:
         raise ValueError("r must be >= 1")
     ct = conjugacy_classes(T)
-    maps = []
-    for a in A.generators or [A.identity()]:
-        for g in T.generators:
-            if not T.contains(g.conjugate(a)):
-                raise ValueError("A does not normalize T")
-        maps.append([ct.class_of_element(c.rep.conjugate(a))
-                     for c in ct.classes])
+    if not normalizes(A, T):
+        raise ValueError("A does not normalize T")
+    maps = [[ct.class_of_element(c.rep.conjugate(a)) for c in ct.classes]
+            for a in A.generators or [A.identity()]]
     return len(orbits(itertools.product(range(len(ct.classes)), repeat=r),
                       lambda t: [tuple(m[c] for c in t) for m in maps]))
 
@@ -320,20 +315,14 @@ def theorem3c_check(G: PermGroup, witness_rows: tuple[int, int],
 def best_invgen_pair(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                      ) -> Optional[tuple[int, int]]:
     """The invariably generating pair of rows maximizing the smaller class
-    size (exhaustive over class pairs)."""
+    size, then the larger: the first such pair in row order, or None."""
     profile = build_profile(G, cap=cap)
-    best = None
-    best_key = (-1, -1)
-    n = len(profile.rows)
-    for i in range(n):
-        for j in range(i, n):
-            if invariably_generates(profile, [i, j]):
-                key = (min(profile.class_sizes[i], profile.class_sizes[j]),
-                       max(profile.class_sizes[i], profile.class_sizes[j]))
-                if key > best_key:
-                    best_key = key
-                    best = (i, j)
-    return best
+    rows = range(len(profile.rows))
+    pairs = itertools.combinations_with_replacement(rows, 2)
+    return max((pair for pair in pairs
+                if invariably_generates(profile, pair)),
+               key=lambda pair: sorted(profile.class_sizes[r] for r in pair),
+               default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ minimum set cover over the per-class "kill sets".
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -137,59 +138,20 @@ def check_killable(profile: IncidenceProfile) -> None:
 
 
 def d_i_exact(profile: IncidenceProfile) -> tuple[int, list[int]]:
-    """Exact minimum cover of all maximal-class columns by kill sets.
+    """(d_I, witness): the lexicographically least minimum cover of all
+    maximal-class columns by kill sets.
 
-    Branch and bound: best-first on the column with fewest killers, with a
-    greedy upper bound and a counting lower bound; ties explored in
-    canonical class order, so the witness is the lexicographically least
-    among minimum covers.
+    Sets of rows are tried by size, each size in itertools.combinations
+    order, and the first that invariably generates is returned, so the
+    witness is the least of the least size.  Raises ValueError, as
+    check_killable does, when no set covers.
     """
-    ncols = profile.num_columns
-    full = (1 << ncols) - 1
-    kills = profile.kill
-    nrows = len(kills)
     check_killable(profile)
-    killers_of_col = [[r for r in range(nrows) if (kills[r] >> c) & 1]
-                      for c in range(ncols)]
-
-    # greedy upper bound: every column has a killer, so it covers them all
-    def greedy() -> list[int]:
-        chosen: list[int] = []
-        covered = 0
-        while covered != full:
-            best = max(range(nrows),
-                       key=lambda r: ((kills[r] & ~covered).bit_count(), -r))
-            chosen.append(best)
-            covered |= kills[best]
-        return chosen
-
-    best_witness = sorted(greedy())
-    best_size = len(best_witness)
-
-    max_kill = max((k.bit_count() for k in kills), default=0)
-
-    # depth first, children pushed in reverse so they pop in killer order
-    stack: list[tuple[int, list[int]]] = [(0, [])]
-    while stack:
-        covered, chosen = stack.pop()
-        if covered == full:
-            cand = sorted(chosen)
-            if len(cand) < best_size or (len(cand) == best_size
-                                         and cand < best_witness):
-                best_size = len(cand)
-                best_witness = cand
-            continue
-        remaining = (full & ~covered).bit_count()
-        if len(chosen) + math.ceil(remaining / max_kill) > best_size:
-            continue
-        # branch on the uncovered column with fewest killers
-        target = min((c for c in range(ncols) if not (covered >> c) & 1),
-                     key=lambda c: len(killers_of_col[c]))
-        stack.extend((covered | kills[r], chosen + [r])
-                     for r in reversed(killers_of_col[target])
-                     if r not in chosen)
-    assert invariably_generates(profile, best_witness)
-    return best_size, best_witness
+    rows = range(len(profile.kill))
+    for size in itertools.count():
+        for witness in itertools.combinations(rows, size):
+            if invariably_generates(profile, witness):
+                return size, list(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +226,15 @@ def find_noninvariable_generating_set(
     if target is None:
         return None
     tab = group_table(G)
-    m_members = set(target.member_indices())
-    m_bits = target.rep_bits
-    # find a conjugating generator word moving M off itself
-    maps = tab.conj_maps()
-    gens = G.generators
-    conj_bits = m_bits
-    word: list[Perm] = []
-    for g, m in zip(gens, maps):
-        moved = 0
-        for i in target.member_indices():
-            moved |= 1 << m[i]
-        if moved != m_bits:
-            conj_bits = moved
-            word = [g]
-            break
-    assert word, "non-normal class admits a moving generator"
-    g = word[0]
-    x_idx = next(i for i in range(tab.n)
-                 if (conj_bits >> i) & 1 and i not in m_members)
-    x = tab.elements[x_idx]
-    m_perms = [tab.elements[i] for i in sorted(m_members)]
+    members = target.member_indices()
+    m_members = set(members)
+    # the first generator whose conjugation moves M off itself, and the
+    # least element outside M that it moves a member of M onto
+    moved = ((g, {m[i] for i in members} - m_members)
+             for g, m in zip(G.generators, tab.conj_maps()))
+    g, outside = next((g, out) for g, out in moved if out)
+    x = tab.elements[min(outside)]
+    m_perms = [tab.elements[i] for i in members]
     X = m_perms + [x]
     y = x.conjugate(g.inverse())      # pulls x back into M
     assert tab.index[y.images] in m_members

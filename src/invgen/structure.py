@@ -44,6 +44,13 @@ def normal_closure_bits(tab: GroupTable, seed_indices: Sequence[int]) -> int:
         gens.extend(dict.fromkeys(new))
 
 
+def normalizes(A: PermGroup, G: PermGroup) -> bool:
+    """Whether conjugation by each generator of A maps each generator of G
+    into G, that is, whether A normalizes G."""
+    return all(G.contains(g.conjugate(a))
+               for a in A.generators for g in G.generators)
+
+
 def is_normal_bits(tab: GroupTable, bits: int, gen_indices: Sequence[int]) -> bool:
     for m in tab.conj_maps():
         for g in gen_indices:
@@ -186,10 +193,8 @@ def fuse_classes_under(G: PermGroup, A: PermGroup) -> FusionMap:
     for g in G.generators:
         if not A.contains(g):
             raise ValueError("G is not a subgroup of A")
-    for a in A.generators:
-        for g in G.generators:
-            if not G.contains(g.conjugate(a)):
-                raise ValueError("G is not normal in A")
+    if not normalizes(A, G):
+        raise ValueError("G is not normal in A")
     ct = conjugacy_classes(G)
     k = len(ct.classes)
     # per class, the classes of its rep's conjugates by the A-generators
