@@ -113,6 +113,16 @@ def test_entry_outside_t_rejected():
         kl_criterion_check(a5, symmetric_group(5), M)
 
 
+def test_a_must_normalize_t():
+    # S4 does not normalize <(1 2)>
+    T, s4 = mk("(1 2)", 4), symmetric_group(4)
+    M = TupleMatrix(entries=((T.generators[0],),))
+    with pytest.raises(ValueError, match="A does not normalize T"):
+        kl_criterion_check(T, s4, M)
+    with pytest.raises(ValueError, match="A does not normalize T"):
+        pigeonhole_bound(T, s4, 1)
+
+
 # -- pigeonhole bound ----------------------------------------------------------
 
 def test_pigeonhole_a5():

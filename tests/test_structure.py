@@ -18,8 +18,8 @@ from invgen.perm import Perm, parse_cycles
 from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
                               is_normal_bits, minimal_normal_subgroups,
-                              quotient_group, small_generating_indices,
-                              subgroup_lattice)
+                              normalizes, quotient_group,
+                              small_generating_indices, subgroup_lattice)
 from invgen.table import (_ClassPool, _normalizer_indices, indices_of_bits,
                           largest_proper_divisor, subgroup_classes)
 
@@ -865,6 +865,16 @@ def test_fusion_of_catalog_overgroups_matches_brute_force(catalog, get_group):
     for entry in entries:
         _check_fusion_by_brute_force(
             get_group(entry.name), families.resolve_overgroup(entry, catalog))
+
+
+def test_normalizes():
+    s4 = symmetric_group(4)
+    assert normalizes(s4, alternating_group(4))
+    assert normalizes(s4, mk("(1 2)(3 4);(1 3)(2 4)", 4))
+    assert normalizes(s4, group_from_generators([Perm.identity(4)]))
+    assert not normalizes(s4, mk("(1 2)", 4))
+    with pytest.raises(ValueError, match="G is not normal in A"):
+        fuse_classes_under(mk("(1 2)", 4), s4)
 
 
 def test_fusion_requires_normality():
