@@ -9,18 +9,21 @@ chains, orders, element tables and random streams.
 
 The chain has one kernel, shared by the exact Schreier-Sims (PermGroup) and
 the unverified chain of generates().  Inside it a point is 0-based and an
-element is its image tuple, so the product "a, then b" is b read at a's
-images: one C-level itemgetter(*a)(b).  tuple(map(b.__getitem__, a)) pays a
-method-wrapper call per point and measured about four times slower at degree
-14 on CPython 3.11.  itemgetter returns a tuple only for two or more items;
-a chain of degree 1 has no levels and forms no product.  No Perm is built
-inside the chain.  Each stored generator keeps its inverse, so a new orbit
-point costs two products: its transversal t*g and the inverse transversal
-g^-1 * t^-1.  Level i's group fixes the i base points before it, so its
-orbit is complete once it holds the other n - i points; the breadth-first
-search then stops, and a new generator skips the level.  Perms appear only
-at the boundary: the arguments of extend, contains and _order_lower_bound,
-and the results of random_element and enumerate.
+element is a 256-byte translation table t, with t[p] the image of p and
+every point from the degree up fixed.  The product "a, then b" is
+a.translate(b) and the inverse of a is bytes.maketrans(a, IDENT): one C call
+each.  So the degree is at most 256; a larger one raises ValueError.  No
+Perm is built inside the chain.  Each stored generator keeps its inverse,
+and each level keeps only its inverse transversal, the one sifting reads,
+so a new orbit point costs one product: g^-1 * u, with u the inverse
+transversal of the point it came from.  A forward transversal element is
+one maketrans away, where verification, sampling and enumeration need it.
+Level i's group fixes the i base points before it, so its orbit is complete
+once it holds the other n - i points; the breadth-first search then stops,
+and a new generator skips the level.  Perms appear only at the boundary
+(_tuple and _perm): the arguments of extend, contains and
+_order_lower_bound, and the results of random_element and enumerate, whose
+elements are cut to the degree's length.
 
 generates(gens, order) answers "does <gens> have this order?" for a caller
 that guarantees every element of gens lies in a group of that order, i.e.
@@ -37,7 +40,7 @@ caller's generator, so seeded streams around it are unaffected.
 from __future__ import annotations
 
 import random
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .perm import Perm, _fast_perm
@@ -50,47 +53,50 @@ DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
 _PR_SLOTS = 10
 _PR_MISSES = 20
 
+_IDENT = bytes(range(256))      # the chain's identity (module docstring)
+
 
 class CapExceeded(Exception):
     """An operation needed more elements / a bigger group than its cap allows."""
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "transversal", "inv_transversal")
+    __slots__ = ("base", "gens", "orbit", "inv_transversal")
 
     def __init__(self, base: int):
         self.base = base
         # generators first registered here, each with its inverse
-        self.gens: list[tuple[tuple, tuple]] = []
+        self.gens: list[tuple[bytes, bytes]] = []
         self.orbit: list[int] = [base]
-        # indexed by point: the element taking base there, or None off the
-        # orbit; empty until the orbit is first computed
-        self.transversal: list[Optional[tuple]] = []
-        self.inv_transversal: list[Optional[tuple]] = []
+        # indexed by point: the element taking that point to base, or None
+        # off the orbit; empty until the orbit is first computed
+        self.inv_transversal: list[Optional[bytes]] = []
 
 
 class StabChain:
-    """Deterministic stabilizer chain over 0-based image tuples.
+    """Deterministic stabilizer chain over 0-based translation tables.
 
     Level i stores the generators that first stabilize the base prefix
     b_0..b_{i-1}; the group of level i is generated by everything stored at
     levels >= i, and its orbit/transversal are computed over that full set.
-    Points are 0-based and an element is the tuple t with t[p] the image of
-    p (module docstring).
+    Points are 0-based and an element is the 256-byte table t with t[p] the
+    image of p (module docstring).
     """
 
     def __init__(self, degree: int):
+        if degree > len(_IDENT):
+            raise ValueError(f"degree {degree} is past the stabilizer chain's "
+                             f"bound of {len(_IDENT)} points")
         self.degree = degree
         self.levels: list[_Level] = []
-        self._ident = tuple(range(degree))
 
-    def _tuple(self, p: Perm) -> tuple:
+    def _tuple(self, p: Perm) -> bytes:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return tuple([i - 1 for i in p.images])
+        return bytes([i - 1 for i in p.images]) + _IDENT[self.degree:]
 
-    def _perm(self, t: tuple) -> Perm:
-        return _fast_perm(tuple([i + 1 for i in t]))
+    def _perm(self, t: bytes) -> Perm:
+        return _fast_perm(tuple([i + 1 for i in t[:self.degree]]))
 
     # -- queries -----------------------------------------------------------
 
@@ -101,21 +107,21 @@ class StabChain:
         return n
 
     def contains(self, p: Perm) -> bool:
-        return self._sift_from(0, self._tuple(p)) == self._ident
+        return self._sift_from(0, self._tuple(p)) == _IDENT
 
     # -- construction --------------------------------------------------------
 
     def extend(self, p: Perm) -> None:
         res = self._sift_from(0, self._tuple(p))
-        if res == self._ident:
+        if res == _IDENT:
             return
         changed = self._register(res)
         self._close(changed)
 
-    def _register(self, res: tuple) -> int:
+    def _register(self, res: bytes) -> int:
         """Store a sifted residue, with its inverse, at the level it belongs
         to; return that level."""
-        inverse = tuple(sorted(self._ident, key=res.__getitem__))
+        inverse = bytes.maketrans(res, _IDENT)
         for i, lv in enumerate(self.levels):
             if res[lv.base] != lv.base:
                 lv.gens.append((res, inverse))
@@ -125,7 +131,7 @@ class StabChain:
         self.levels.append(lv)
         return len(self.levels) - 1
 
-    def _visible(self, i: int) -> list[tuple[tuple, tuple]]:
+    def _visible(self, i: int) -> list[tuple[bytes, bytes]]:
         out = []
         for lv in self.levels[i:]:
             out.extend(lv.gens)
@@ -133,20 +139,19 @@ class StabChain:
 
     def _recompute_orbit(self, i: int) -> None:
         lv = self.levels[i]
-        lv.transversal = [None] * self.degree
         lv.inv_transversal = [None] * self.degree
-        lv.transversal[lv.base] = lv.inv_transversal[lv.base] = self._ident
+        lv.inv_transversal[lv.base] = _IDENT
         lv.orbit = [lv.base]
         self._grow_orbit(i, 0, ())
 
     def _grow_orbit(self, i: int, closed: int,
-                    new: Sequence[tuple[tuple, tuple]]) -> None:
+                    new: Sequence[tuple[bytes, bytes]]) -> None:
         """Close level i's orbit under its visible generators, breadth-first,
         given that its first `closed` points are closed under all of them
         except those in `new`.  The search stops once the orbit holds
         degree - i points: level i's group fixes the i earlier base points."""
         lv = self.levels[i]
-        orbit, trans, inv = lv.orbit, lv.transversal, lv.inv_transversal
+        orbit, inv = lv.orbit, lv.inv_transversal
         room = self.degree - i - len(orbit)
         if not room:
             return
@@ -154,15 +159,14 @@ class StabChain:
         for k, pt in enumerate(orbit):          # also visits appended points
             for g, g_inv in gens if k >= closed else new:
                 img = g[pt]
-                if trans[img] is None:
-                    trans[img] = itemgetter(*trans[pt])(g)
-                    inv[img] = itemgetter(*g_inv)(inv[pt])
+                if inv[img] is None:
+                    inv[img] = g_inv.translate(inv[pt])
                     orbit.append(img)
                     room -= 1
                     if not room:
                         return
 
-    def _sift_from(self, level: int, p: tuple) -> tuple:
+    def _sift_from(self, level: int, p: bytes) -> bytes:
         for lv in self.levels[level:]:
             img = p[lv.base]
             if img == lv.base:
@@ -170,22 +174,22 @@ class StabChain:
             t_inv = lv.inv_transversal[img]
             if t_inv is None:
                 return p
-            p = itemgetter(*p)(t_inv)
+            p = p.translate(t_inv)
         return p
 
-    def _absorb(self, p: tuple) -> bool:
+    def _absorb(self, p: bytes) -> bool:
         """Store p's residue, if it has one, and extend the orbits of the
         levels it joins, without Schreier verification; say whether the
         chain grew.  Points already in an orbit keep their transversal
         elements, so a level's orbit order can differ from a recomputed one.
         """
         res = self._sift_from(0, p)
-        if res == self._ident:
+        if res == _IDENT:
             return False
         at = self._register(res)
         new = self.levels[at].gens[-1:]
         for i, lv in enumerate(self.levels[:at + 1]):
-            if not lv.transversal:        # the level res just opened
+            if not lv.inv_transversal:      # the level res just opened
                 self._recompute_orbit(i)
             elif len(lv.orbit) < self.degree - i:
                 self._grow_orbit(i, len(lv.orbit), new)
@@ -212,20 +216,20 @@ class StabChain:
                 return
             m = self._register(failure)
 
-    def _verify_level(self, i: int) -> Optional[tuple]:
+    def _verify_level(self, i: int) -> Optional[bytes]:
         """Return a non-member Schreier residue of level i, or None."""
         lv = self.levels[i]
         gens = self._visible(i)
-        trans, inv = lv.transversal, lv.inv_transversal
+        inv = lv.inv_transversal
         for pt in lv.orbit:
-            t = trans[pt]
+            t = bytes.maketrans(inv[pt], _IDENT)
             for g, _ in gens:
                 # t * g * inv_transversal[g(pt)]
-                sch = itemgetter(*itemgetter(*t)(g))(inv[g[pt]])
-                if sch == self._ident:
+                sch = t.translate(g).translate(inv[g[pt]])
+                if sch == _IDENT:
                     continue
                 res = self._sift_from(i + 1, sch)
-                if res != self._ident:
+                if res != _IDENT:
                     return res
         return None
 
@@ -234,25 +238,34 @@ class StabChain:
     def random_element(self, rng: random.Random) -> Perm:
         """Exactly uniform: one independent transversal pick per base point.
 
-        The picks are rng.randrange(len(orbit)) calls, deepest level first.
-        Read as a mixed-radix number with the first call most significant,
-        they make the code k of the result, which is ``enumerate()[k]``.
+        The picks are rng.randrange(len(orbit)) draws, deepest level first,
+        each made as randrange makes it: getrandbits(k), k the bit length of
+        len(orbit), redrawn while it is >= len(orbit).  Read as a mixed-radix
+        number with the first pick most significant, they make the code k of
+        the result, which is ``enumerate()[k]``.  The picks' inverse
+        transversal elements multiply to the result's inverse.
         """
-        result = self._ident
+        getrandbits = rng.getrandbits
+        result_inv = _IDENT
         for lv in reversed(self.levels):
-            pick = lv.transversal[lv.orbit[rng.randrange(len(lv.orbit))]]
-            result = itemgetter(*result)(pick)
-        return self._perm(result)
+            n = len(lv.orbit)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            result_inv = lv.inv_transversal[lv.orbit[r]].translate(result_inv)
+        return self._perm(bytes.maketrans(result_inv, _IDENT))
 
     def enumerate(self) -> list[Perm]:
         """Every element, in code order: element k is the one random_element
-        returns when its randrange calls make the code k."""
-        elems = [self._ident]
+        returns when its randrange picks make the code k."""
+        elems = [_IDENT[:self.degree]]
         for lv in reversed(self.levels):
-            transversals = [lv.transversal[pt] for pt in lv.orbit]
+            transversals = [bytes.maketrans(lv.inv_transversal[pt], _IDENT)
+                            for pt in lv.orbit]
             products = []
             for e in elems:
-                products += map(itemgetter(*e), transversals)
+                products += map(e.translate, transversals)
             elems = products
         return [self._perm(e) for e in elems]
 
@@ -334,18 +347,25 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     tuples = [chain._tuple(g) for g in gens]
     for g in tuples:
         chain._absorb(g)
-    slots = [g for g in tuples if g != chain._ident]
+    slots = [g for g in tuples if g != _IDENT]
     if slots:
-        slots = [slots[i % len(slots)]
-                 for i in range(max(_PR_SLOTS, len(slots)))]
-        rng = random.Random(hash(tuple(g.images for g in gens)))
-        acc = chain._ident
+        n = max(_PR_SLOTS, len(slots))
+        slots = [slots[i % len(slots)] for i in range(n)]
+        # randrange(n) and randrange(n - 1), drawn as randrange draws them
+        getrandbits = random.Random(hash(tuple(g.images for g in gens))
+                                    ).getrandbits
+        k, k1 = n.bit_length(), (n - 1).bit_length()
+        acc = _IDENT
         order, misses = chain.order(), 0
         while order <= bound and misses < _PR_MISSES:
-            i = rng.randrange(len(slots))
-            j = rng.randrange(len(slots) - 1)
-            slots[i] = itemgetter(*slots[i])(slots[j + (j >= i)])
-            acc = itemgetter(*acc)(slots[i])
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            j = getrandbits(k1)
+            while j >= n - 1:
+                j = getrandbits(k1)
+            slots[i] = slots[i].translate(slots[j + (j >= i)])
+            acc = acc.translate(slots[i])
             if chain._absorb(acc):
                 order, misses = chain.order(), 0
             else:

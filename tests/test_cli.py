@@ -113,6 +113,13 @@ def test_bad_cycles_exit_code(capsys):
     assert code == 3
 
 
+def test_degree_past_the_chain_bound_exit_code(capsys):
+    code, data = run_json(capsys, "analyze", "--gens", "(1 2)",
+                          "--degree", "257")
+    assert code == 3 and data["error"] == "input"
+    assert "degree 257" in data["reason"] and "256 points" in data["reason"]
+
+
 def test_table_format(capsys):
     code, out = run_cli(capsys, "analyze", "C6", "--format", "table")
     assert code == 0

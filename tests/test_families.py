@@ -106,6 +106,18 @@ def test_search_finds_2x2():
     assert gen.order == 3600
 
 
+def test_hall_bound_a5_19_is_2_generated():
+    """A5^19 is the largest 2-generated power of A5 (P. Hall, 1936): a 2x19
+    matrix exists, more columns than pigeonhole_bound(A5, S5, 2) = 17, and
+    the cross-check builds the exact chain of a degree-95 group of order
+    60^19."""
+    a5, s5 = alternating_group(5), symmetric_group(5)
+    M = search_generating_matrix(a5, s5, 2, 19, seed=1)
+    assert M is not None and (M.r, M.k) == (2, 19)
+    assert M.k > pigeonhole_bound(a5, s5, 2)
+    assert kl_criterion_check(a5, s5, M, cross_check=True)
+
+
 def test_entry_outside_t_rejected():
     a5 = alternating_group(5)
     M = TupleMatrix(entries=((parse_cycles("(1 2)", 5),),))

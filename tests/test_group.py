@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from invgen.group import (CapExceeded, PermGroup, _order_lower_bound,
-                          alternating_group, embed_tuple,
-                          group_from_generators, power_group,
+from invgen.group import (_IDENT, CapExceeded, PermGroup, StabChain,
+                          _order_lower_bound, alternating_group, embed_tuple,
+                          generates, group_from_generators, power_group,
                           project_component, symmetric_group)
 from invgen.perm import Perm, parse_cycles
 
@@ -157,6 +157,40 @@ def test_symmetric_alternating_orders():
         assert alternating_group(n).order == math.factorial(n) // 2
 
 
+# -- the chain's translation tables ---------------------------------------------
+
+@pytest.mark.parametrize("degree", [1, 2, 14, 90, 256])
+def test_chain_product_and_inverse_are_perm_product_and_inverse(degree):
+    chain = StabChain(degree)
+    rng = random.Random(f"translation tables {degree}")
+    points = list(range(1, degree + 1))
+    for _ in range(20):
+        a, b = (Perm(rng.sample(points, degree)) for _ in range(2))
+        ta, tb = chain._tuple(a), chain._tuple(b)
+        assert len(ta) == 256 and ta[degree:] == _IDENT[degree:]
+        assert chain._perm(ta.translate(tb)) == a * b
+        assert chain._perm(bytes.maketrans(ta, _IDENT)) == a.inverse()
+
+
+def test_degree_256_cycle():
+    c = Perm(list(range(2, 257)) + [1])
+    G = PermGroup([c])
+    assert G.order == 256
+    assert G.contains(c ** 7) and not G.contains(parse_cycles("(1 2)", 256))
+    rng = random.Random(256)
+    assert all(G.contains(G.random_element(rng)) for _ in range(20))
+    assert len(G.elements()) == 256 == len(set(G.elements()))
+    assert generates([c], 256)
+    assert not generates([c * c], 256)
+
+
+def test_degree_past_256_raises():
+    c = Perm(list(range(2, 258)) + [1])
+    for build in (lambda: PermGroup([c]), lambda: generates([c], 257)):
+        with pytest.raises(ValueError, match="degree 257 .* 256 points"):
+            build()
+
+
 # -- pinned stabilizer chains --------------------------------------------------
 
 def _digest(obj) -> str:
@@ -166,23 +200,20 @@ def _digest(obj) -> str:
 def _chain_view(chain):
     """(base, orbit, transversal images) of each level, points 1-based.
 
-    A chain that stores Perms counts points from 1; one that stores image
-    tuples counts them from 0.  The pins below were recorded on the Perm
-    chain and must hold for both."""
+    The chain stores only inverse transversal elements, as 0-based
+    translation tables; each forward element is derived from its inverse.
+    The pins below were recorded on a chain of 1-based Perms that stored
+    both and must hold unchanged."""
+    identity = Perm.identity(chain.degree)
     view = []
     for lv in chain.levels:
-        one = 0 if isinstance(lv.transversal[lv.base], Perm) else 1
-
-        def images(t):
-            return t.images if one == 0 else tuple(i + 1 for i in t)
-
+        forward = []
         for p in lv.orbit:
-            t, u = lv.transversal[p], lv.inv_transversal[p]
-            assert Perm(images(t)) * Perm(images(u)) == Perm.identity(
-                chain.degree)
-            assert Perm(images(t))(lv.base + one) == p + one
-        view.append((lv.base + one, [p + one for p in lv.orbit],
-                     [images(lv.transversal[p]) for p in lv.orbit]))
+            u = chain._perm(lv.inv_transversal[p])
+            t = u.inverse()
+            assert t * u == identity and t(lv.base + 1) == p + 1
+            forward.append(t.images)
+        view.append((lv.base + 1, [p + 1 for p in lv.orbit], forward))
     return view
 
 
