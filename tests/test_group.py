@@ -161,15 +161,21 @@ def test_symmetric_alternating_orders():
 
 @pytest.mark.parametrize("degree", [1, 2, 14, 90, 256])
 def test_chain_product_and_inverse_are_perm_product_and_inverse(degree):
+    """An element is its image string, a table that string padded to 256
+    bytes; a * b is a.translate(table of b), and a^-1 is maketrans(a, id)
+    cut to the degree."""
     chain = StabChain(degree)
     rng = random.Random(f"translation tables {degree}")
     points = list(range(1, degree + 1))
     for _ in range(20):
         a, b = (Perm(rng.sample(points, degree)) for _ in range(2))
         ta, tb = chain._tuple(a), chain._tuple(b)
-        assert len(ta) == 256 and ta[degree:] == _IDENT[degree:]
-        assert chain._perm(ta.translate(tb)) == a * b
-        assert chain._perm(bytes.maketrans(ta, _IDENT)) == a.inverse()
+        table = tb + chain._tail
+        assert len(ta) == degree
+        assert len(table) == 256 and table[degree:] == _IDENT[degree:]
+        assert chain._perm(ta.translate(table)) == a * b
+        inverse = bytes.maketrans(ta, chain._id)[:degree]
+        assert chain._perm(inverse) == a.inverse()
 
 
 def test_degree_256_cycle():
