@@ -210,15 +210,15 @@ def _chain_view(chain):
     translation tables; each forward element is derived from its inverse.
     The pins below were recorded on a chain of 1-based Perms that stored
     both and must hold unchanged."""
-    identity = Perm.identity(chain.degree)
     view = []
     for lv in chain.levels:
         forward = []
         for p in lv.orbit:
-            u = chain._perm(lv.inv_transversal[p])
-            t = u.inverse()
-            assert t * u == identity and t(lv.base + 1) == p + 1
-            forward.append(t.images)
+            table = lv.inv_transversal[p]
+            assert table[chain.degree:] == _IDENT[chain.degree:]
+            u = chain._perm(table)
+            assert u(p + 1) == lv.base + 1
+            forward.append(u.inverse().images)
         view.append((lv.base + 1, [p + 1 for p in lv.orbit], forward))
     return view
 
