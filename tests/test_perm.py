@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -116,3 +117,84 @@ def test_perm_ordering_and_hash():
     b = parse_cycles("(1 3)", 3)
     assert a != b and (a < b or b < a)
     assert len({a, b, parse_cycles("(1 2)", 3)}) == 2
+
+
+# -- every operation against 1-based image-tuple arithmetic --------------------
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """a, then b."""
+    return tuple(b[i - 1] for i in a)
+
+
+def _invert(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for i, j in enumerate(a, 1):
+        out[j - 1] = i
+    return tuple(out)
+
+
+def _power(a: tuple, e: int) -> tuple:
+    base = a if e >= 0 else _invert(a)
+    out = tuple(range(1, len(a) + 1))
+    for _ in range(abs(e)):
+        out = _compose(out, base)
+    return out
+
+
+def _cycles(a: tuple) -> list:
+    seen, out = set(), []
+    for start in range(1, len(a) + 1):
+        if start in seen or a[start - 1] == start:
+            continue
+        cyc, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = a[j - 1]
+        out.append(tuple(cyc))
+    return out
+
+
+def _is_even(a: tuple) -> bool:
+    inversions = sum(a[i] > a[j] for i in range(len(a))
+                     for j in range(i + 1, len(a)))
+    return inversions % 2 == 0
+
+
+def _samples(degree: int, rng: random.Random) -> list:
+    points = list(range(1, degree + 1))
+    out = [tuple(points), tuple(points[1:] + points[:1])]
+    if degree > 1:
+        out.append((2, 1) + tuple(points[2:]))
+    out += [tuple(rng.sample(points, degree)) for _ in range(6)]
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 14, 90, 256])
+def test_every_operation_matches_image_tuples(degree):
+    rng = random.Random(f"perm oracle {degree}")
+    tuples = _samples(degree, rng)
+    perms = [Perm(t) for t in tuples]
+    ident = tuple(range(1, degree + 1))
+    assert Perm.identity(degree).images == ident
+    assert Perm.identity(degree).is_identity()
+    assert Perm.identity(degree).degree == degree
+    for a, p in zip(tuples, perms):
+        assert p.images == a and p.degree == degree
+        assert [p(i) for i in ident] == list(a)
+        assert p.inverse().images == _invert(a)
+        assert p.is_identity() == (a == ident)
+        assert p.cycles() == _cycles(a)
+        assert p.order() == math.lcm(*map(len, _cycles(a)))
+        assert p.is_even() == _is_even(a)
+        for e in (-3, -1, 0, 1, 2, 5, rng.randint(-300, 300)):
+            assert (p ** e).images == _power(a, e), e
+        for b, q in zip(tuples, perms):
+            assert (p * q).images == _compose(a, b)
+            assert p.conjugate(q).images == _compose(_compose(_invert(b), a), b)
+            assert (p == q) == (a == b)
+            assert (p != q) == (a != b)
+            assert (p < q) == (a < b)
+            if a == b:
+                assert hash(p) == hash(q) == hash(Perm(b))
+    assert sorted(perms) == [Perm(t) for t in sorted(tuples)]
