@@ -159,8 +159,13 @@ def search_generating_matrix(T: PermGroup, A: PermGroup, r: int, k: int,
     Columns are sampled one at a time: a column is kept once it generates T
     and sits in an Aut-orbit distinct from every kept column (checked by
     exhausting A); a whole-matrix rejection loop would almost never pass
-    the all-columns-generate condition for large k.
+    the all-columns-generate condition for large k.  With r = 1 and T not
+    cyclic (not abelian, or of exponent below |T|) it returns None at once.
     """
+    gens = T.generators
+    if r == 1 and not (all(g * h == h * g for g in gens for h in gens)
+                       and math.lcm(*map(Perm.order, gens)) == T.order):
+        return None
     rng = random.Random(seed)
     a_elements = A.elements()
     cols: list[tuple] = []
@@ -386,9 +391,10 @@ def almost_simple_lower_example(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
 
 def _derived_subgroup_bits(G: PermGroup) -> int:
     tab = group_table(G)
-    gens = G.generators
+    gens = [tab.index[g.bytes] for g in G.generators]
     comms = []
     for i, g in enumerate(gens):
         for h in gens[i:]:
-            comms.append(tab.index[(g.inverse() * h.inverse() * g * h).images])
+            comms.append(tab.mult(tab.mult(tab.inv(g), tab.inv(h)),
+                                  tab.mult(g, h)))
     return normal_closure_bits(tab, comms)

@@ -233,12 +233,12 @@ def find_noninvariable_generating_set(
     moved = ((g, {m[i] for i in members} - m_members)
              for g, m in zip(G.generators, tab.conj_maps()))
     g, outside = next((g, out) for g, out in moved if out)
-    x = tab.elements[min(outside)]
+    x, gi = min(outside), tab.index[g.bytes]
+    y = tab.mult(tab.mult(gi, x), tab.inv(gi))    # pulls x back into M
+    assert y in m_members
     m_perms = [tab.elements[i] for i in members]
-    X = m_perms + [x]
-    y = x.conjugate(g.inverse())      # pulls x back into M
-    assert tab.index[y.images] in m_members
-    Y = m_perms + [y]
+    X = m_perms + [tab.elements[x]]
+    Y = m_perms + [tab.elements[y]]
     assert generates(X, G.order), "X generates G"
     assert generates(Y, target.order), "Y stays inside M"
     return X, Y

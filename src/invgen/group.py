@@ -9,22 +9,17 @@ chains, orders, element tables and random streams.
 
 The chain has one kernel, shared by the exact Schreier-Sims (PermGroup) and
 the unverified chain of generates().  Inside it a point is 0-based and an
-element is the bytes string s of its images, of the degree's length; its
-table is s padded to 256 bytes with the points from the degree up fixed.
-The product "a, then b" is a.translate(table of b), one C call whose cost
-follows len(a) (about 50 ns at degree 14, 340 ns at 256, CPython 3.11),
-and the inverse of a is bytes.maketrans(a, identity) cut to the degree.  So
-the degree is at most 256; a larger one raises ValueError.  No Perm is built
-inside the chain.  Right-hand factors are stored as tables: each stored
-generator, kept with its inverse as a string, and each level's inverse
-transversal, the only transversal sifting reads.  A new orbit point costs
-one product and one padding, g^-1 * u with u the inverse transversal of the
-point it came from, and a forward transversal element is one maketrans
-away.  Level i's group fixes the i base points before it, so its orbit is
-complete once it holds the other n - i points; the breadth-first search
-then stops, and a new generator skips the level.  Perms appear only at the
-boundary (_tuple and _perm): the arguments of extend, contains and
-_order_lower_bound, and the results of random_element and enumerate.
+element is a Perm's own image string (perm.py): the chain reads the
+strings of the Perms it is given and wraps the strings it returns, with
+no conversion, and a product is one translate call on them.  Right-hand
+factors are stored as tables: each stored generator, kept with its
+inverse as a string, and each level's inverse transversal, the only
+transversal sifting reads.  A new orbit point costs one product and one
+padding, g^-1 * u with u the inverse transversal of the point it came
+from, and a forward transversal element is one maketrans away.  Level i's
+group fixes the i base points before it, so its orbit is complete once it
+holds the other n - i points; the breadth-first search then stops, and a
+new generator skips the level.
 
 generates(gens, order) answers "does <gens> have this order?" for a caller
 that guarantees every element of gens lies in a group of that order, i.e.
@@ -44,7 +39,7 @@ import random
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .perm import Perm, _fast_perm
+from .perm import Perm, _IDENT, _fast_perm
 
 DEFAULT_ENUM_CAP = 200_000       # largest group whose elements are listed
 DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
@@ -53,8 +48,6 @@ DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
 # elements sifting to the identity after which the exact chain decides
 _PR_SLOTS = 10
 _PR_MISSES = 20
-
-_IDENT = bytes(range(256))      # the identity table (module docstring)
 
 
 class CapExceeded(Exception):
@@ -80,27 +73,16 @@ class StabChain:
     Level i stores the generators that first stabilize the base prefix
     b_0..b_{i-1}; the group of level i is generated by everything stored at
     levels >= i, and its orbit/transversal are computed over that full set.
-    Points are 0-based and an element is the bytes string t with t[p] the
-    image of p, padded to a 256-byte table where it is a right-hand factor
-    (module docstring).
+    Points are 0-based and an element is a Perm's bytes string t, with t[p]
+    the image of p, padded to a 256-byte table where it is a right-hand
+    factor (module docstring).
     """
 
     def __init__(self, degree: int):
-        if degree > len(_IDENT):
-            raise ValueError(f"degree {degree} is past the stabilizer chain's "
-                             f"bound of {len(_IDENT)} points")
         self.degree = degree
         self.levels: list[_Level] = []
         self._id = _IDENT[:degree]
         self._tail = _IDENT[degree:]    # pads an element to its table
-
-    def _tuple(self, p: Perm) -> bytes:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return bytes([i - 1 for i in p.images])
-
-    def _perm(self, t: bytes) -> Perm:
-        return _fast_perm(tuple([i + 1 for i in t[:self.degree]]))
 
     # -- queries -----------------------------------------------------------
 
@@ -111,12 +93,18 @@ class StabChain:
         return n
 
     def contains(self, p: Perm) -> bool:
-        return self._sift_from(0, self._tuple(p)) == self._id
+        return self._sift(p) == self._id
+
+    def _sift(self, p: Perm) -> bytes:
+        """p's residue; p must have the chain's degree."""
+        if p.degree != self.degree:
+            raise ValueError("degree mismatch")
+        return self._sift_from(0, p.bytes)
 
     # -- construction --------------------------------------------------------
 
     def extend(self, p: Perm) -> None:
-        res = self._sift_from(0, self._tuple(p))
+        res = self._sift(p)
         if res == self._id:
             return
         changed = self._register(res)
@@ -258,7 +246,7 @@ class StabChain:
             while r >= n:
                 r = getrandbits(k)
             result_inv = lv.inv_transversal[lv.orbit[r]].translate(result_inv)
-        return self._perm(bytes.maketrans(result_inv, _IDENT))
+        return _fast_perm(bytes.maketrans(result_inv, _IDENT)[:self.degree])
 
     def enumerate(self) -> list[Perm]:
         """Every element, in code order: element k is the one random_element
@@ -271,7 +259,7 @@ class StabChain:
             for e in elems:
                 products += map(e.translate, transversals)
             elems = products
-        return [self._perm(e) for e in elems]
+        return list(map(_fast_perm, elems))
 
 
 class PermGroup:
@@ -324,7 +312,7 @@ class PermGroup:
                 "use sampling-only paths")
         if self._elements is None:
             elems = self.chain.enumerate()
-            elems.sort(key=attrgetter("images"))   # as Perm.__lt__, in C
+            elems.sort(key=attrgetter("bytes"))    # as Perm.__lt__, in C
             self._elements = elems
         return self._elements
 
@@ -348,14 +336,14 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     it stops as soon as the bound is exceeded, or after _PR_MISSES
     consecutive elements sift to the identity."""
     chain = StabChain(gens[0].degree)
-    tuples = [chain._tuple(g) for g in gens]
-    for g in tuples:
-        chain._absorb(g)
-    slots = [g + chain._tail for g in tuples if g != chain._id]
+    for g in gens:
+        chain._absorb(g.bytes)
+    slots = [g.bytes + chain._tail for g in gens if not g.is_identity()]
     if slots:
         n = max(_PR_SLOTS, len(slots))
         slots = [slots[i % len(slots)] for i in range(n)]
-        # randrange(n) and randrange(n - 1), drawn as randrange draws them
+        # randrange(n) and randrange(n - 1), drawn as randrange draws them;
+        # image tuples, unlike bytes, hash alike in every process
         getrandbits = random.Random(hash(tuple(g.images for g in gens))
                                     ).getrandbits
         k, k1 = n.bit_length(), (n - 1).bit_length()

@@ -192,15 +192,15 @@ def _interval_maximals(tab: GroupTable, sylow_members: list[int],
 
     def record(gens: list[int]) -> None:
         # <gens> lies in the least closed subgroup w holding gens, and is w
-        # once its order reaches |w|
+        # once its order reaches |w|; below |w| it is not closed yet
         w = min((w for w in closed if w.issuperset(gens)), key=len,
                 default=None)
         most = bound if w is None else min(bound, len(w) - 1)
         if _order_lower_bound([tab.elements[i] for i in gens], most) > most:
             return
-        members = tab.closure(gens, bound=bound)
-        sub = frozenset(members or ())
-        if members is not None and sub not in closed:
+        members = tab.closure(gens, bound=most)
+        if members is not None:
+            sub = frozenset(members)
             closed.add(sub)
             if divisor % len(sub) == 0:
                 proper.append((gens, sub))

@@ -1,8 +1,16 @@
 """Permutations on points 1..n, with cycle-notation parsing and formatting.
 
-Points are 1-based throughout and the degree is always explicit: a
-permutation of degree n is a bijection of {1..n}, stored as the tuple of
-images of 1..n.  Composition is left-to-right: (p * q)(i) = q(p(i)).
+Points are 1-based at the interface and the degree is explicit: a
+permutation of degree n <= 256 is a bijection of {1..n}, composed left to
+right, (p * q)(i) = q(p(i)).  A Perm holds the one encoding that the
+stabilizer chain and the element table also read: the bytes string s of
+its 0-based images.  Its table, s padded to 256 bytes with the points from
+n up fixed, makes it a right-hand factor: "a, then b" is a.translate(table
+of b), one C call of about 50 ns at degree 14 and 340 ns at 256 (CPython
+3.11), and a^-1 is bytes.maketrans(a, identity) cut to n.  Strings of one
+degree order as image tuples do.  A Perm hashes as its string, and bytes
+hashes are randomized per process, so no result may follow the order of a
+set of Perms, and seeds hash image tuples.
 """
 
 from __future__ import annotations
@@ -11,58 +19,68 @@ import math
 import re
 from typing import Iterable
 
+_IDENT = bytes(range(256))     # the identity's table
+
+
+def translation_table(s: bytes) -> bytes:
+    """s's 256-byte table: t.translate(it) is the string of "t, then s"."""
+    return s + _IDENT[len(s):]
+
 
 class Perm:
-    """An immutable permutation of {1..n}.
+    """An immutable permutation of {1..n}, n <= 256.
 
-    images[i-1] is the image of point i.  Perms are hashable and totally
-    ordered by their image tuples, which gives every algorithm in this
-    package a deterministic tie-break order.
+    ``bytes`` is its image string (module docstring).  Perms are hashable
+    and totally ordered by their image tuples, which gives every algorithm
+    in this package a deterministic tie-break order.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("bytes",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         n = len(images)
         if n < 1:
             raise ValueError("degree must be >= 1")
+        if n > len(_IDENT):
+            raise ValueError(f"degree {n} is past the stabilizer chain's "
+                             f"bound of {len(_IDENT)} points")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "bytes", bytes([i - 1 for i in images]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple([i + 1 for i in self.bytes])
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.bytes)
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return _fast_perm(tuple(range(1, degree + 1)))
+        return Perm(range(1, degree + 1))
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        return self.bytes[point - 1] + 1
 
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
-        oi = other.images
-        si = self.images
-        if len(si) != len(oi):
+        if len(self.bytes) != len(other.bytes):
             raise ValueError("degree mismatch in composition")
-        return _fast_perm(tuple([oi[j - 1] for j in si]))
+        return _fast_perm(self.bytes.translate(translation_table(other.bytes)))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return _fast_perm(tuple(inv))
+        s = self.bytes
+        return _fast_perm(bytes.maketrans(s, _IDENT[:len(s)])[:len(s)])
 
     def __pow__(self, e: int) -> "Perm":
         if e < 0:
             return self.inverse() ** (-e)
-        result = Perm.identity(self.degree)
+        result = _fast_perm(_IDENT[:self.degree])
         base = self
         while e:
             if e & 1:
@@ -73,33 +91,31 @@ class Perm:
 
     def conjugate(self, g: "Perm") -> "Perm":
         """Return self^g = g^-1 * self * g, which sends g(i) to g(self(i))."""
-        gi = g.images
-        if len(gi) != len(self.images):
+        s, gs = self.bytes, g.bytes
+        if len(s) != len(gs):
             raise ValueError("degree mismatch in composition")
-        out = [0] * len(gi)
-        for i, j in zip(gi, self.images):
-            out[i - 1] = gi[j - 1]
-        return _fast_perm(tuple(out))
+        # the image of gs[i] is the image of s[i] under g
+        return _fast_perm(bytes.maketrans(
+            gs, s.translate(translation_table(gs)))[:len(s)])
 
     def is_identity(self) -> bool:
-        images = self.images
-        return images == _IDENT_CACHE.setdefault(
-            len(images), tuple(range(1, len(images) + 1)))
+        return self.bytes == _IDENT[:len(self.bytes)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
-        seen = [False] * self.degree
+        s = self.bytes
+        seen = [False] * len(s)
         out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1] or self.images[start - 1] == start:
+        for start in range(len(s)):
+            if seen[start] or s[start] == start:
                 continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self.images[start - 1]
+            cyc = [start + 1]
+            seen[start] = True
+            j = s[start]
             while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self.images[j - 1]
+                cyc.append(j + 1)
+                seen[j] = True
+                j = s[j]
             out.append(tuple(cyc))
         return out
 
@@ -110,26 +126,23 @@ class Perm:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
+        return isinstance(other, Perm) and self.bytes == other.bytes
 
     def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
+        return self.bytes < other.bytes
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.bytes)
 
     def __repr__(self) -> str:
         return f"Perm({format_cycles(self)!r}, degree={self.degree})"
 
 
-_IDENT_CACHE: dict[int, tuple] = {}
-
-
-def _fast_perm(images: tuple) -> Perm:
-    """Internal constructor skipping bijection validation (products and
-    inverses of valid permutations stay valid)."""
+def _fast_perm(s: bytes) -> Perm:
+    """Internal constructor from an image string, skipping validation
+    (products and inverses of valid permutations stay valid)."""
     p = object.__new__(Perm)
-    object.__setattr__(p, "images", images)
+    object.__setattr__(p, "bytes", s)
     return p
 
 

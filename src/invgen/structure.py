@@ -81,15 +81,10 @@ def quotient_group(G: PermGroup, N: SubgroupRecord,
             continue
         cid = len(coset_reps)
         coset_reps.append(x)
-        px = tab.elements[x]
         for nn in n_members:
-            coset_of[tab.index[(tab.elements[nn] * px).images]] = cid
-    gens = []
-    for g in G.generators or [G.identity()]:
-        images = []
-        for rep in coset_reps:
-            images.append(coset_of[tab.index[(tab.elements[rep] * g).images]] + 1)
-        gens.append(Perm(images))
+            coset_of[tab.mult(nn, x)] = cid
+    gens = [Perm(coset_of[tab.mult(rep, tab.index[g.bytes])] + 1
+                 for rep in coset_reps) for g in tab.generators]
     Q = PermGroup(gens, name=f"{G.name or 'G'}/N{N.order}")
     assert Q.order == m, "coset action has wrong order"
     return Q

@@ -16,18 +16,18 @@ lattice took 0.07 s, against 28.9 s when every subgroup found was joined
 with every other (single runs, CPython 3.11 on a shared Intel Xeon host;
 BENCH_classwalk.json).
 
-Products in the table never build a Perm.  With (p * q)(i) = q(p(i)), the
-image tuple of g * x is x's image tuple read at g's images: one
-``operator.itemgetter`` call plus an ``index`` lookup.  An element's
-left-multiplication map (x -> g * x for every x, n entries) is built once
-the products it has cost in ``closure`` reach n, the price of building the
-map; after that each product is a list lookup.  This is the ski-rental
-rule: the count is read as a call starts, so at most 2n products precede
-the map, and the total stays within three times the cheaper of the two
-choices.  Its threshold is the table's own size, with nothing to tune.
-There is no Cayley table: A8's would hold 20160**2 (406M) entries, while
-its maximal search closes subgroups on 3,500 distinct generators and
-builds maps for 11.
+Products in the table never build a Perm.  Walks multiply on the right,
+x -> x * g: the index of x * g is that of x's string (perm.py) translated
+by g's table, one ``bytes.translate`` call and an ``index`` lookup.  An
+element's right-multiplication map (x -> x * g for every x, n entries) is
+built once the products it has cost in ``closure`` reach n, the price of
+building the map; after that each product is a list lookup.  This is the
+ski-rental rule: the count is read as a call starts, so at most 2n
+products precede the map, and the total stays within three times the
+cheaper of the two choices.  Its threshold is the table's own size, with
+nothing to tune.  There is no Cayley table: A8's would hold 20160**2
+(406M) entries, while its maximal search closes subgroups on 3,500
+distinct generators and builds maps for 11.
 
 A bounded closure rents its walk the same way.  Once a walk with a bound
 below n has made about as many products as one ``_order_lower_bound`` run
@@ -50,12 +50,11 @@ import functools
 import weakref
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
                     PermGroup, _PR_MISSES, _order_lower_bound)
-from .perm import Perm, format_cycles
+from .perm import Perm, format_cycles, translation_table
 
 
 # ---------------------------------------------------------------------------
@@ -70,59 +69,56 @@ class GroupTable:
         self.group = group
         self.generators = group.generators or [group.identity()]
         self.elements = group.elements(cap=cap)
-        self.index = {p.images: i for i, p in enumerate(self.elements)}
+        self.index = {p.bytes: i for i, p in enumerate(self.elements)}
         self.n = len(self.elements)
         self.identity_index = 0   # identity is lexicographically least
         self._conj_maps: Optional[list[list[int]]] = None
         self._inv_map: Optional[list[int]] = None
         self._elem_conj_maps: dict[int, list[int]] = {}
-        self._left_maps: dict[int, list[int]] = {}
-        self._left_uses: dict[int, int] = {}
+        self._right_maps: dict[int, list[int]] = {}
+        self._right_uses: dict[int, int] = {}
         # what one lower-bound run of the chain costs, in table products
         self._chain_cost = _PR_MISSES * group.degree
 
-    def _left_getter(self, g: int) -> Callable[[tuple], tuple]:
-        """Take x's image tuple to that of e_g * e_x."""
-        gim = self.elements[g].images
-        if len(gim) == 1:         # itemgetter of one index returns a scalar
-            return tuple
-        return itemgetter(*[j - 1 for j in gim])
+    def _table(self, g: int) -> bytes:
+        return translation_table(self.elements[g].bytes)
 
-    def _left_map(self, g: int) -> list[int]:
-        get = self._left_getter(g)
+    def _right_map(self, g: int) -> list[int]:
+        t = self._table(g)
         index = self.index
-        return [index[get(x.images)] for x in self.elements]
+        return [index[x.bytes.translate(t)] for x in self.elements]
 
     def mult(self, i: int, j: int) -> int:
-        m = self._left_maps.get(i)
+        m = self._right_maps.get(j)
         if m is not None:
-            return m[j]
-        return self.index[self._left_getter(i)(self.elements[j].images)]
+            return m[i]
+        return self.index[self.elements[i].bytes.translate(self._table(j))]
 
     def inv(self, i: int) -> int:
         if self._inv_map is None:
-            self._inv_map = [self.index[p.inverse().images] for p in self.elements]
+            self._inv_map = [self.index[p.inverse().bytes]
+                             for p in self.elements]
         return self._inv_map[i]
 
     def conj_maps(self) -> list[list[int]]:
         """For each group generator g, the index map i -> index(e_i ^ g)."""
         if self._conj_maps is None:
-            self._conj_maps = [self.elem_conj_map(self.index[g.images])
+            self._conj_maps = [self.elem_conj_map(self.index[g.bytes])
                                for g in self.generators]
         return self._conj_maps
 
     def elem_conj_map(self, gi: int) -> list[int]:
         """Index map of conjugation by element gi, cached.
 
-        One left-multiplication pass, by g^-1, gives a(x) = (g^-1 * x)^-1,
-        which is x^-1 * g; then x^g = g^-1 * x * g = a(a(x)).
+        One right-multiplication pass, by g, gives a(x) = (x * g)^-1, which
+        is g^-1 * x^-1; then x^g = g^-1 * x * g = a(a(x)).
         """
         cached = self._elem_conj_maps.get(gi)
         if cached is not None:
             return cached
-        gi_inv = self.inv(gi)
-        left = self._left_maps.get(gi_inv) or self._left_map(gi_inv)
-        a = list(map(self._inv_map.__getitem__, left))
+        self.inv(gi)                  # fills self._inv_map
+        right = self._right_maps.get(gi) or self._right_map(gi)
+        a = list(map(self._inv_map.__getitem__, right))
         out = self._elem_conj_maps[gi] = list(map(a.__getitem__, a))
         return out
 
@@ -130,14 +126,15 @@ class GroupTable:
                       ) -> Iterator[tuple[int, set[int]]]:
         """Each double coset H * e_x * H other than H, for the subgroup H
         with the given members, as (x, its indices) with x its least index;
-        read off image tuples as in closure."""
-        images = [self.elements[h].images for h in members]
-        getters = list(map(self._left_getter, members))
+        products as in closure, H * e_x first, then each times H."""
+        strings = [self.elements[h].bytes for h in members]
+        tables = list(map(self._table, members))
         assigned = set(members)
         for x in range(self.n):
             if x not in assigned:
-                xh = list(map(self._left_getter(x), images))
-                hxh = {self.index[get(y)] for get in getters for y in xh}
+                tx = self._table(x)
+                hx = [h.translate(tx) for h in strings]
+                hxh = {self.index[y.translate(t)] for t in tables for y in hx}
                 assigned |= hxh
                 yield x, hxh
 
@@ -145,9 +142,9 @@ class GroupTable:
                 ) -> Optional[list[int]]:
         """Sorted indices of the subgroup generated by the given elements.
 
-        BFS from the identity by left multiplication, x -> g * x for each
-        generator g: through g's map when it has one, else by reading x's
-        image tuple at g's images (module docstring).  Such products count
+        BFS from the identity by right multiplication, x -> x * g for each
+        generator g: through g's map when it has one, else by translating
+        x's string by g's table (module docstring).  Such products count
         towards g's map, which a later call builds once they reach n.  With
         a bound below n, returns None as soon as the subgroup is seen or
         proved to exceed it, so exactly when |<gens>| > bound: once the walk
@@ -159,14 +156,14 @@ class GroupTable:
             bound = n
         gens = sorted(set(gen_indices) - {self.identity_index})
         maps: list[list[int]] = []
-        getters = []
+        tables = []
         rented = []
         for g in gens:
-            m = self._left_maps.get(g)
-            if m is None and self._left_uses.get(g, 0) >= n:
-                m = self._left_maps[g] = self._left_map(g)
+            m = self._right_maps.get(g)
+            if m is None and self._right_uses.get(g, 0) >= n:
+                m = self._right_maps[g] = self._right_map(g)
             if m is None:
-                getters.append(self._left_getter(g))
+                tables.append(self._table(g))
                 rented.append(g)
             else:
                 maps.append(m)
@@ -188,17 +185,17 @@ class GroupTable:
                     if not seen[y]:
                         seen[y] = 1
                         worklist.append(y)
-                if getters:
-                    xim = elements[x].images
-                    for get in getters:
-                        y = index[get(xim)]
+                if tables:
+                    xs = elements[x].bytes
+                    for t in tables:
+                        y = index[xs.translate(t)]
                         if not seen[y]:
                             seen[y] = 1
                             worklist.append(y)
             if (k == rent < len(worklist) <= bound and _order_lower_bound(
                     [elements[g] for g in gens], bound) > bound):
                 break
-        uses = self._left_uses
+        uses = self._right_uses
         for g in rented:
             uses[g] = uses.get(g, 0) + k
         if k < len(worklist):         # stopped early: past the bound
@@ -302,7 +299,7 @@ class ConjugacyTable:
 
     def class_of_element(self, p: Perm) -> int:
         # the classes were read off this table, so no cap applies here
-        i = self.group._cache["table"].index.get(p.images)
+        i = self.group._cache["table"].index.get(p.bytes)
         if i is None:
             raise ValueError(f"{format_cycles(p)} is not an element of "
                              f"{self.group.name or 'the group'}")
@@ -317,20 +314,17 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTab
     if cached is not None:
         return cached
     images = list(zip(*tab.conj_maps()))   # x -> x's conjugates by the gens
-    keyed = []
-    for members in map(sorted, orbits(range(tab.n), images.__getitem__)):
-        rep_index = members[0]
-        rep = tab.elements[rep_index]
-        keyed.append((len(members), rep.order(), rep.images, rep_index, members))
-    keyed.sort(key=lambda t: (t[0], t[1], t[2]))
+    # indices are in element order, so the least member's is the last key
+    keyed = sorted((len(m), tab.elements[m[0]].order(), m[0], m) for m in
+                   map(sorted, orbits(range(tab.n), images.__getitem__)))
     # labels: element order, with a/b/c suffix when several classes share it
     order_counts: dict[int, int] = {}
-    for _, order, _, _, _ in keyed:
+    for _, order, _, _ in keyed:
         order_counts[order] = order_counts.get(order, 0) + 1
     seen: dict[int, int] = {}
     classes = []
     class_of = [-1] * tab.n
-    for new_cid, (size, order, _, rep_index, members) in enumerate(keyed):
+    for new_cid, (size, order, rep_index, members) in enumerate(keyed):
         if order_counts[order] == 1:
             label = str(order)
         else:
@@ -364,7 +358,7 @@ def _normalizer_indices(tab: GroupTable, members) -> list[int]:
     members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
     Schreier generators generate N, so they are closed one at a time, each
     only if not already in the closure, until the closure reaches |N|."""
-    gen_idx = [tab.index[g.images] for g in tab.generators]
+    gen_idx = [tab.index[g.bytes] for g in tab.generators]
     maps = tab.conj_maps()
     members = tuple(sorted(members))
     transversal = {members: tab.identity_index}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from invgen import families
 from invgen.families import (CatalogEntry, TupleMatrix, alternating_pair,
                              almost_simple_lower_example, best_invgen_pair,
                              catalog_group, instantiate, kl_criterion_check,
@@ -104,6 +105,26 @@ def test_search_finds_2x2():
     assert M is not None
     gen = PermGroup(M.rows_as_power_elements())
     assert gen.order == 3600
+
+
+def test_search_with_one_row_needs_a_cyclic_t(monkeypatch):
+    """One element never generates A5, so the search returns None without a
+    generation test; a cyclic T with r = 1, and a pinned 2x2 search, give
+    the matrices they gave before the early return."""
+    a5, s5 = alternating_group(5), symmetric_group(5)
+    c5 = PermGroup([parse_cycles("(1 2 3 4 5)", 5)], name="C5")
+    M = search_generating_matrix(c5, c5, 1, 4, seed=3)
+    assert [[g.images for g in row] for row in M.entries] == [
+        [(2, 3, 4, 5, 1), (5, 1, 2, 3, 4), (3, 4, 5, 1, 2), (4, 5, 1, 2, 3)]]
+    M = search_generating_matrix(a5, s5, 2, 2, seed=9)
+    assert [[g.images for g in row] for row in M.entries] == [
+        [(5, 1, 4, 2, 3), (2, 3, 4, 5, 1)], [(5, 4, 2, 1, 3), (2, 3, 1, 4, 5)]]
+
+    def no_generation_test(gens, order):
+        raise AssertionError("generates called")
+
+    monkeypatch.setattr(families, "generates", no_generation_test)
+    assert search_generating_matrix(a5, s5, 1, 5, seed=5) is None
 
 
 def test_hall_bound_a5_19_is_2_generated():

@@ -213,7 +213,7 @@ def test_p_maximal_subgroups_match_the_lattice(get_group):
         for p, k in _factorize(G.order).items():
             members = _sylow_indices(tab, p, p ** k)
             P = group_from_generators([tab.elements[i] for i in members])
-            to_g = [tab.index[x.images] for x in P.elements()]
+            to_g = [tab.index[x.bytes] for x in P.elements()]
             proper = [frozenset(to_g[i] for i in r.member_indices())
                       for r in subgroup_lattice(P) if r.order < P.order]
             want = {h for h in proper if not any(h < o for o in proper)}
@@ -280,7 +280,7 @@ def test_class_pool_keeps_one_record_per_subgroup_class(catalog, get_group):
             continue
         G = get_group(e.name)
         tab = group_table(G)
-        conj = [[tab.index[x.conjugate(g).images] for x in tab.elements]
+        conj = [[tab.index[x.conjugate(g).bytes] for x in tab.elements]
                 for g in tab.elements]
         lattice = _lattice_sets(G)
         pool = _ClassPool(tab)
@@ -430,7 +430,7 @@ def _brute_normalizer(tab, members) -> list[int]:
     gens = [tab.elements[i] for i in small_generating_indices(
         tab, sorted(members))]
     return [i for i, g in enumerate(tab.elements)
-            if all(tab.index[x.conjugate(g).images] in members for x in gens)]
+            if all(tab.index[x.conjugate(g).bytes] in members for x in gens)]
 
 
 def test_normalizer_indices_match_brute_force(catalog, get_group):

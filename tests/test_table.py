@@ -32,7 +32,7 @@ def _expected(tab: GroupTable, gens: list[int]) -> list[int]:
     perms = [tab.elements[i] for i in gens]
     H = PermGroup(perms)
     members = naive_closure(perms) if H.order <= NAIVE_MAX else H.elements()
-    return sorted(tab.index[p.images] for p in members)
+    return sorted(tab.index[p.bytes] for p in members)
 
 
 @pytest.mark.parametrize("name,rounds", [
@@ -41,7 +41,7 @@ def test_closure_matches_oracle(catalog, name, rounds):
     tab = _fresh_table(catalog, name)
     rng = random.Random(f"closure {name}")
     # a small pool of generators, so that each is used often enough on this
-    # one table to get a left-multiplication map while others have none yet
+    # one table to get a right-multiplication map while others have none yet
     pool = rng.sample(range(1, tab.n), 6)
     orders = set()
     mixed = False
@@ -51,7 +51,7 @@ def test_closure_matches_oracle(catalog, name, rounds):
             gens.append(tab.identity_index)
         members = tab.closure(gens)
         # maps are built as a call starts, so this is what the call used
-        mapped = {g in tab._left_maps for g in gens if g != tab.identity_index}
+        mapped = {g in tab._right_maps for g in gens if g != tab.identity_index}
         mixed |= mapped == {True, False}
         assert members == _expected(tab, gens), (name, gens)
         h = len(members)
@@ -60,13 +60,13 @@ def test_closure_matches_oracle(catalog, name, rounds):
         assert tab.closure(gens, bound=h - 1) is None
     assert len(orders) > 1
     assert tab.n in orders or name == "A7"
-    assert mixed                    # maps and itemgetters in one closure
+    assert mixed                    # maps and table products in one closure
 
 
 def _check_bounds(tab: GroupTable, gens: list[int]) -> None:
     # None exactly when the subgroup is larger than the bound, else the
     # naive oracle's members
-    want = sorted(tab.index[p.images]
+    want = sorted(tab.index[p.bytes]
                   for p in naive_closure([tab.elements[i] for i in gens]))
     h = len(want)
     for bound in (h - 1, h, largest_proper_divisor(tab.n), tab.n - 1, None):
@@ -163,7 +163,7 @@ def test_mult_matches_perm_products(catalog, name):
         i, j = rng.randrange(tab.n), rng.choice([g, rng.randrange(tab.n)])
         i, j = (i, j) if rng.random() < 0.5 else (j, i)
         assert tab.mult(i, j) == tab.index[
-            (tab.elements[i] * tab.elements[j]).images]
+            (tab.elements[i] * tab.elements[j]).bytes]
         assert tab.mult(i, tab.inv(i)) == tab.identity_index
 
 
@@ -173,7 +173,7 @@ def test_elem_conj_map_matches_perm_conjugation(catalog, name):
     rng = random.Random(f"conj {name}")
     for gi in [tab.identity_index] + rng.sample(range(1, tab.n), 5):
         g = tab.elements[gi]
-        want = [tab.index[(g.inverse() * x * g).images] for x in tab.elements]
+        want = [tab.index[(g.inverse() * x * g).bytes] for x in tab.elements]
         assert tab.elem_conj_map(gi) == want, (name, gi)
 
 
@@ -191,7 +191,7 @@ def test_double_cosets_match_brute_force(catalog, name):
         hs = [tab.elements[h] for h in members]
         seen = set(members)
         for x, hxh in tab.double_cosets(members):
-            want = {tab.index[(h * tab.elements[x] * k).images]
+            want = {tab.index[(h * tab.elements[x] * k).bytes]
                     for h in hs for k in hs}
             assert hxh == want and x == min(hxh), (name, len(members), x)
             assert seen.isdisjoint(hxh)
@@ -213,7 +213,8 @@ def test_trivial_group_of_degree_one():
 def test_whole_group_closure_has_no_bound_surprises(catalog):
     tab = _fresh_table(catalog, "S5")
     # (1 2) and (1 2 3 4 5) generate S5; the bound is checked, not the order
-    gens = [tab.index[(2, 1, 3, 4, 5)], tab.index[(2, 3, 4, 5, 1)]]
+    gens = [tab.index[Perm(p).bytes]
+            for p in ((2, 1, 3, 4, 5), (2, 3, 4, 5, 1))]
     assert tab.closure(gens) == list(range(120))
     assert tab.closure(gens, bound=120) == list(range(120))
     assert tab.closure(gens, bound=119) is None
