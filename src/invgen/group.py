@@ -170,13 +170,13 @@ class StabChain:
             p = p.translate(t_inv)
         return p
 
-    def _absorb(self, p: bytes) -> bool:
-        """Store p's residue, if it has one, and extend the orbits of the
-        levels it joins, without Schreier verification; say whether the
-        chain grew.  Points already in an orbit keep their transversal
-        elements, so a level's orbit order can differ from a recomputed one.
+    def _absorb(self, res: bytes) -> bool:
+        """Store a sifted residue, unless it is the identity, and extend the
+        orbits of the levels it joins, without Schreier verification; say
+        whether the chain grew.  Points already in an orbit keep their
+        transversal elements, so a level's orbit order can differ from a
+        recomputed one.
         """
-        res = self._sift_from(0, p)
         if res == self._id:
             return False
         at = self._register(res)
@@ -337,7 +337,7 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     consecutive elements sift to the identity."""
     chain = StabChain(gens[0].degree)
     for g in gens:
-        chain._absorb(g.bytes)
+        chain._absorb(chain._sift(g))
     slots = [g.bytes + chain._tail for g in gens if not g.is_identity()]
     if slots:
         n = max(_PR_SLOTS, len(slots))
@@ -358,7 +358,7 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
                 j = getrandbits(k1)
             slots[i] = slots[i].translate(slots[j + (j >= i)])
             acc = acc.translate(slots[i])
-            if chain._absorb(acc):
+            if chain._absorb(chain._sift_from(0, acc)):
                 order, misses = chain.order(), 0
             else:
                 misses += 1

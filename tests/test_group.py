@@ -45,6 +45,15 @@ def test_generator_degree_mismatch():
                                parse_cycles("(1 2)", 3)])
 
 
+def test_chain_rejects_another_degree():
+    a5 = alternating_group(5)
+    gens = [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(1 2 3)", 6)]
+    for check in (lambda: a5.contains(gens[1]), lambda: generates(gens, 60),
+                  lambda: generates(gens[::-1], 60)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            check()
+
+
 def test_membership():
     a5 = alternating_group(5)
     assert not a5.contains(parse_cycles("(1 2)", 5))
