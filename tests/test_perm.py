@@ -191,7 +191,8 @@ def test_every_operation_matches_image_tuples(degree):
             assert (p ** e).images == _power(a, e), e
         for b, q in zip(tuples, perms):
             assert (p * q).images == _compose(a, b)
-            assert p.conjugate(q).images == _compose(_compose(_invert(b), a), b)
+            assert p.conjugate(q).images == _compose(
+                _compose(_invert(b), a), b)
             assert (p == q) == (a == b)
             assert (p != q) == (a != b)
             assert (p < q) == (a < b)

@@ -51,7 +51,8 @@ def test_closure_matches_oracle(catalog, name, rounds):
             gens.append(tab.identity_index)
         members = tab.closure(gens)
         # maps are built as a call starts, so this is what the call used
-        mapped = {g in tab._right_maps for g in gens if g != tab.identity_index}
+        mapped = {g in tab._right_maps
+                  for g in gens if g != tab.identity_index}
         mixed |= mapped == {True, False}
         assert members == _expected(tab, gens), (name, gens)
         h = len(members)
