@@ -21,10 +21,11 @@ from .generation import (IncidenceProfile, build_profile, chief_bound_check,
                          class_count_bounds, d_i_exact,
                          find_noninvariable_generating_set,
                          invariably_generates, invariably_generates_elements,
-                         invgen_sample_refuter)
+                         invgen_sample_refuter, profile_from_classes)
 from .chebotarev import (DistinctTildeFamily, McEstimate, chebotarev_exact,
                          chebotarev_mc, distinct_tilde_family, p_i_exact,
-                         p_i_sandwich_check, theorem2_ratio_report)
+                         p_i_sandwich_check, theorem2_ratio_report,
+                         tilde_family)
 from .families import (CatalogEntry, TupleMatrix, alternating_pair,
                        almost_simple_lower_example, catalog_group,
                        instantiate, kl_criterion_check, load_catalog,

@@ -17,6 +17,11 @@ analysis, E[0] = 0 and, summing over classes that move s or keep it,
 Only the row intersections reachable from the full bitset are states.  The
 tests check the chain against inclusion-exclusion over the distinct sets,
 exhaustive enumeration and Monte Carlo.
+
+The chain needs class-level data only, so the family is read off an
+incidence profile by tilde_family, whatever built the profile:
+build_profile from a group, or generation.profile_from_classes, the one
+constructor of profiles, from class sizes and class incidences alone.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Optional
 
 from .generation import IncidenceProfile, build_profile, check_killable
 from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
-from .maximal import MaximalClass, maximal_subgroups
+from .maximal import maximal_subgroups
 from .table import conjugacy_classes, orbits
 
 DEFAULT_SUBSET_CAP = 24
@@ -40,31 +45,45 @@ class DistinctTildeFamily:
     """The distinct class-bitsets among the unions of conjugates of maximal
     subgroup classes, each with its exact density."""
 
-    group: PermGroup
-    sets: tuple                      # distinct class bitsets
+    order: int
+    sets: tuple                      # distinct bitsets over profile rows
     densities: tuple                 # Fraction per set
     provenance: tuple                # per set: tuple of maximal-class labels
-    class_sizes: tuple               # plain class sizes (for intersections)
+    class_sizes: tuple               # row sizes (for intersections)
 
     def __len__(self) -> int:
         return len(self.sets)
 
 
+def tilde_family(profile: IncidenceProfile) -> DistinctTildeFamily:
+    """The distinct columns of a profile, as bitsets over its rows, in
+    increasing order, each with its density (its rows' sizes over the
+    order) and the labels of the columns that share it, in column order.
+
+    On a fused profile a set is a union of fused rows, and the chain below
+    draws a fused row with the probability of its classes together.  A
+    column that no row kills raises ValueError, as d_i_exact does: its
+    set would hold every draw.
+    """
+    check_killable(profile)
+    seen: dict[int, list[str]] = {}
+    for j, label in enumerate(profile.column_labels):
+        column = sum(1 << r for r, row in enumerate(profile.rows)
+                     if row >> j & 1)
+        seen.setdefault(column, []).append(label)
+    sets = sorted(seen)
+    return DistinctTildeFamily(
+        order=profile.order, sets=tuple(sets),
+        densities=tuple(
+            Fraction(sum(n for r, n in enumerate(profile.class_sizes)
+                         if s >> r & 1), profile.order) for s in sets),
+        provenance=tuple(tuple(seen[s]) for s in sets),
+        class_sizes=profile.class_sizes)
+
+
 def distinct_tilde_family(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                           ) -> DistinctTildeFamily:
-    sizes = tuple(c.size for c in conjugacy_classes(G).classes)
-    seen: dict[int, list[MaximalClass]] = {}
-    for mc in maximal_subgroups(G, cap=cap):
-        seen.setdefault(mc.mtilde_class_bits, []).append(mc)
-    sets = sorted(seen)
-    # v is the density of the class union, so classes sharing one share v
-    dens = tuple(seen[s][0].v for s in sets)
-    assert all(d < 1 for d in dens), \
-        "union of conjugates of a proper subgroup is proper"
-    return DistinctTildeFamily(
-        group=G, sets=tuple(sets), densities=dens,
-        provenance=tuple(tuple(mc.label for mc in seen[s]) for s in sets),
-        class_sizes=sizes)
+    return tilde_family(build_profile(G, cap=cap))
 
 
 def _chain(family: DistinctTildeFamily, cap: int
@@ -104,14 +123,14 @@ def p_i_exact(family: DistinctTildeFamily, k: int,
     """Exact probability that k uniform random elements invariably generate."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return Fraction(_hits(family, k, cap)[k], family.group.order ** k)
+    return Fraction(_hits(family, k, cap)[k], family.order ** k)
 
 
 def chebotarev_exact(family: DistinctTildeFamily,
                      cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
     """Expected number of uniform draws until invariable generation."""
     rows, states = _chain(family, cap)
-    n = family.group.order
+    n = family.order
     wait = {0: Fraction(0)}
     for s in states[1:]:
         stay = sum(size for row, size in rows.items() if s & row == s)
@@ -128,7 +147,7 @@ def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
     1 - P_I(G,k) is at most the sum of v_W^k over the distinct sets W, so
     the tail after K is at most the sum of v_W^(K+1) / (1 - v_W).
     """
-    n = family.group.order
+    n = family.order
     partial = sum((1 - Fraction(h, n ** k)
                    for k, h in enumerate(_hits(family, upto_k, cap))),
                   Fraction(0))
@@ -155,8 +174,7 @@ def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
     shared union once per class, which only weakens it).
     """
     maxes = maximal_subgroups(G, cap=cap)
-    family = distinct_tilde_family(G, cap=cap)
-    miss = 1 - p_i_exact(family, k)
+    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k)
     max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
     sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
     return SandwichReport(k=k, max_v_pow_k=max_term, miss_probability=miss,

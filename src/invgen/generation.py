@@ -6,10 +6,17 @@ of M.  The incidence profile records that relation as a bit matrix (rows:
 conjugacy classes, columns: maximal classes), after which the test is pure
 bit logic, and the minimal invariable generating number d_I is an exact
 minimum set cover over the per-class "kill sets".
+
+The profile needs class-level data only: the class sizes and, per maximal
+class, the classes that meet it.  profile_from_classes is the one
+constructor that lays the matrix out.  build_profile feeds it a group's
+conjugacy and maximal classes, and class data from elsewhere (cycle types,
+character tables) can be fed to it directly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -29,18 +36,44 @@ class IncidenceProfile:
     subgroup classes; entry 1 means the class lies inside the union of
     conjugates of that maximal subgroup."""
 
-    group: PermGroup
+    order: int
     rows: tuple                # row i: bitset over columns with entry 1
     kill: tuple                # row i: complement bitset (columns killed)
     class_sizes: tuple
     class_labels: tuple
     column_labels: tuple
-    maximal_classes: tuple     # the MaximalClass records, column order
     fused_members: tuple       # row i: tuple of plain class indices
     num_columns: int
+    group: Optional[PermGroup] = None   # for profile_row_of; None from classes
 
     def row_of_label(self, label: str) -> int:
         return self.class_labels.index(label)
+
+
+def profile_from_classes(order: int, class_sizes: Sequence[int],
+                         class_labels: Sequence[str], columns: Sequence[int],
+                         column_labels: Sequence[str]) -> IncidenceProfile:
+    """The incidence profile from class-level data alone.
+
+    Row r is a class of class_sizes[r] elements, and column j, a bitset
+    over the rows, marks the classes that meet the j-th maximal class (lie
+    in the union of its conjugates).  This is the one constructor that lays
+    out rows, kill sets and the column count.  Each row is its own plain
+    class (chebotarev_mc reads row r as class r of the group it draws
+    from), and no group is kept, so profile_row_of does not apply.
+    """
+    if sum(class_sizes) != order:
+        raise ValueError(f"class sizes sum to {sum(class_sizes)}, "
+                         f"not to the order {order}")
+    full = (1 << len(columns)) - 1
+    rows = tuple(sum(1 << j for j, col in enumerate(columns) if col >> r & 1)
+                 for r in range(len(class_sizes)))
+    return IncidenceProfile(
+        order=order, rows=rows, kill=tuple(full & ~r for r in rows),
+        class_sizes=tuple(class_sizes), class_labels=tuple(class_labels),
+        column_labels=tuple(column_labels),
+        fused_members=tuple((r,) for r in range(len(rows))),
+        num_columns=len(columns))
 
 
 def build_profile(G: PermGroup, fusion: Optional[FusionMap] = None,
@@ -53,41 +86,20 @@ def build_profile(G: PermGroup, fusion: Optional[FusionMap] = None,
     """
     ct = conjugacy_classes(G)
     maxes = maximal_subgroups(G, cap=cap)
-    ncols = len(maxes)
-    full = (1 << ncols) - 1
-    plain_rows = []
-    for ci in range(len(ct.classes)):
-        row = 0
-        for mi, mc in enumerate(maxes):
-            if (mc.mtilde_class_bits >> ci) & 1:
-                row |= 1 << mi
-        plain_rows.append(row)
     if fusion is None:
         groups = [(ci,) for ci in range(len(ct.classes))]
     else:
         if fusion.group is not G:
             raise ValueError("fusion map belongs to a different group")
         groups = [tuple(members) for members in fusion.fused_classes]
-    rows = []
-    labels = []
-    sizes = []
-    for members in groups:
-        row = 0
-        for ci in members:
-            row |= plain_rows[ci]
-        rows.append(row)
-        labels.append("+".join(ct.classes[ci].label for ci in members))
-        sizes.append(sum(ct.classes[ci].size for ci in members))
-    return IncidenceProfile(
-        group=G,
-        rows=tuple(rows),
-        kill=tuple(full & ~r for r in rows),
-        class_sizes=tuple(sizes),
-        class_labels=tuple(labels),
-        column_labels=tuple(mc.label for mc in maxes),
-        maximal_classes=tuple(maxes),
-        fused_members=tuple(groups),
-        num_columns=ncols)
+    masks = [sum(1 << ci for ci in members) for members in groups]
+    profile = profile_from_classes(
+        G.order, [sum(ct.classes[ci].size for ci in m) for m in groups],
+        ["+".join(ct.classes[ci].label for ci in m) for m in groups],
+        [sum(1 << r for r, mask in enumerate(masks)
+             if mc.mtilde_class_bits & mask) for mc in maxes],
+        [mc.label for mc in maxes])
+    return dataclasses.replace(profile, group=G, fused_members=tuple(groups))
 
 
 def invariably_generates(profile: IncidenceProfile,
@@ -113,6 +125,9 @@ def invariably_generates_elements(profile: IncidenceProfile,
 
 
 def profile_row_of(profile: IncidenceProfile, p: Perm) -> int:
+    if profile.group is None:
+        raise ValueError("the profile was built from class data and has no "
+                         "group to map elements to classes with")
     ct = conjugacy_classes(profile.group)
     ci = ct.class_of_element(p)
     for ri, members in enumerate(profile.fused_members):

@@ -418,8 +418,3 @@ def embed_tuple(ts: Sequence[Perm], k: int) -> Perm:
     for i, t in enumerate(ts):
         images.extend(i * n + t(pt) for pt in range(1, n + 1))
     return Perm(images)
-
-
-def project_component(p: Perm, i: int, n: int) -> Perm:
-    """Coordinate projection of a direct-power element to block i (0-based)."""
-    return Perm(p(i * n + pt) - i * n for pt in range(1, n + 1))

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from invgen.chebotarev import (DEFAULT_SUBSET_CAP, DistinctTildeFamily,
-                               chebotarev_exact, chebotarev_mc,
-                               chebotarev_partial_sum, distinct_tilde_family,
-                               p_i_exact, p_i_sandwich_check,
-                               theorem2_ratio_report)
-from invgen.generation import build_profile, d_i_exact
+from invgen.chebotarev import (DEFAULT_SUBSET_CAP, chebotarev_exact,
+                               chebotarev_mc, chebotarev_partial_sum,
+                               distinct_tilde_family, p_i_exact,
+                               p_i_sandwich_check, theorem2_ratio_report,
+                               tilde_family)
+from invgen.generation import build_profile, d_i_exact, profile_from_classes
 from invgen.group import CapExceeded, alternating_group, \
     group_from_generators, symmetric_group
 from invgen.maximal import maximal_subgroups
@@ -38,6 +38,74 @@ def test_densities_proper():
         fam = distinct_tilde_family(G)
         assert all(d < 1 for d in fam.densities)
         assert len(fam) >= 1
+
+
+def test_tilde_family_reads_back_the_maximal_classes(catalog, get_group):
+    """On every catalog group of order <= 5040, the family read off the
+    profile is the sorted distinct M-tilde class bitsets of the maximal
+    classes, with their v and their labels grouped in column order."""
+    checked = 0
+    for entry in catalog:
+        if entry.expected_order > 5040:
+            continue
+        G = get_group(entry.name)
+        maxes = maximal_subgroups(G)
+        fam = tilde_family(build_profile(G))
+        sets = sorted({m.mtilde_class_bits for m in maxes})
+        sharing = [[m for m in maxes if m.mtilde_class_bits == s]
+                   for s in sets]
+        assert fam.sets == tuple(sets), entry.name
+        for v, ms in zip(fam.densities, sharing):
+            assert all(m.v == v for m in ms), entry.name
+        assert fam.provenance == tuple(tuple(m.label for m in ms)
+                                       for ms in sharing), entry.name
+        assert fam.order == G.order
+        checked += 1
+    assert checked >= 30
+
+
+def _s5_from_cycle_types():
+    """S5's profile from its 7 cycle types alone, with no group: a class of
+    type lambda has 120 / z_lambda elements, and a maximal class meets it
+    when some member has that cycle type."""
+    types = [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2),
+             (4, 1), (5,)]
+
+    def size(t):
+        z = 1
+        for k in set(t):
+            z *= k ** t.count(k) * math.factorial(t.count(k))
+        return 120 // z
+
+    meets = {"A5": lambda t: (5 - len(t)) % 2 == 0,
+             "S4": lambda t: 1 in t,
+             "S3xS2": lambda t: 2 in t or t.count(1) >= 2,
+             "AGL(1,5)": lambda t: t in {(1, 1, 1, 1, 1), (2, 2, 1), (4, 1),
+                                         (5,)}}
+    columns = [sum(1 << r for r, t in enumerate(types) if meets[m](t))
+               for m in meets]
+    return profile_from_classes(
+        120, [size(t) for t in types], [" ".join(map(str, t)) for t in types],
+        columns, list(meets))
+
+
+def test_s5_from_cycle_types():
+    p = _s5_from_cycle_types()
+    assert p.group is None
+    assert p.class_sizes == (1, 10, 15, 20, 20, 30, 24)
+    fam = tilde_family(p)
+    assert chebotarev_exact(fam) == Fraction(14438407, 3333330)
+    assert d_i_exact(p)[0] == 2
+    engine = distinct_tilde_family(symmetric_group(5))
+    assert chebotarev_exact(engine) == chebotarev_exact(fam)
+    assert sorted(fam.densities) == sorted(engine.densities)
+    for k in range(5):
+        assert p_i_exact(fam, k) == p_i_exact(engine, k)
+
+
+def test_profile_from_classes_checks_the_class_sizes():
+    with pytest.raises(ValueError, match="sum to 3, not to the order 4"):
+        profile_from_classes(4, [1, 2], ["1", "2"], [0b01], ["M"])
 
 
 # -- exact probabilities ------------------------------------------------------
@@ -189,25 +257,6 @@ def test_mc_matches_exact_a5():
     assert abs(est.mean - 91 / 22) <= 3 * est.std_error
 
 
-def _exact_c_of_profile(profile):
-    """C(G) for draws judged by the profile's rows: column j survives a draw
-    whose (fused) row has bit j, so its set is those rows' plain classes."""
-    G = profile.group
-    sets = set()
-    for j in range(profile.num_columns):
-        bits = 0
-        for row, members in zip(profile.rows, profile.fused_members):
-            if row >> j & 1:
-                for ci in members:
-                    bits |= 1 << ci
-        sets.add(bits)
-    sizes = tuple(c.size for c in conjugacy_classes(G).classes)
-    family = DistinctTildeFamily(group=G, sets=tuple(sorted(sets)),
-                                 densities=(), provenance=(),
-                                 class_sizes=sizes)
-    return chebotarev_exact(family)
-
-
 @pytest.mark.parametrize("name", ["S4", "A5", "AGL(1,7)", "A6 under S6"])
 def test_mc_within_4se_of_exact(name, get_group):
     if name == "A6 under S6":
@@ -217,9 +266,8 @@ def test_mc_within_4se_of_exact(name, get_group):
     else:
         G = get_group(name)
         profile = build_profile(G)
-        assert _exact_c_of_profile(profile) == \
-            chebotarev_exact(distinct_tilde_family(G))
-    c = _exact_c_of_profile(profile)
+    # the exact C(G) for draws judged by the profile's (fused) rows
+    c = chebotarev_exact(tilde_family(profile))
     est = chebotarev_mc(G, 20_000, seed=11, profile=profile)
     assert abs(est.mean - float(c)) <= 4 * est.std_error
 

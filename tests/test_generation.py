@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 
@@ -8,10 +9,12 @@ from invgen.generation import (build_profile, chief_bound_check,
                                find_noninvariable_generating_set,
                                invariably_generates,
                                invariably_generates_elements,
-                               invgen_sample_refuter, profile_row_of)
+                               invgen_sample_refuter, profile_from_classes,
+                               profile_row_of)
 from invgen.families import resolve_overgroup
 from invgen.group import PermGroup, alternating_group, group_from_generators, \
     symmetric_group
+from invgen.maximal import maximal_subgroups
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import conjugacy_classes, fuse_classes_under
 
@@ -33,9 +36,11 @@ def rows(profile, *labels):
 # -- profile construction ---------------------------------------------------
 
 def test_a5_profile_matrix():
-    prof = build_profile(alternating_group(5))
+    a5 = alternating_group(5)
+    prof = build_profile(a5)
     # columns in canonical order: orders 12, 10, 6
-    assert [m.order for m in prof.maximal_classes] == [12, 10, 6]
+    assert prof.column_labels == tuple(m.label for m in maximal_subgroups(a5))
+    assert [m.order for m in maximal_subgroups(a5)] == [12, 10, 6]
     expect = {"1": [1, 1, 1], "2": [1, 1, 1], "3": [1, 0, 1],
               "5a": [0, 1, 0], "5b": [0, 1, 0]}
     for label, want in expect.items():
@@ -99,6 +104,22 @@ def test_index_out_of_range():
     prof = build_profile(alternating_group(5))
     with pytest.raises(IndexError):
         invariably_generates(prof, [99])
+
+
+def test_profile_row_of_needs_a_group():
+    """A5's profile rebuilt from its own class data equals it but for the
+    group, and elements cannot be mapped to its rows."""
+    full = build_profile(alternating_group(5))
+    columns = [sum(1 << r for r, row in enumerate(full.rows) if row >> j & 1)
+               for j in range(full.num_columns)]
+    p = profile_from_classes(full.order, full.class_sizes, full.class_labels,
+                             columns, full.column_labels)
+    assert p == dataclasses.replace(full, group=None)
+    x = parse_cycles("(1 2 3)", 5)
+    with pytest.raises(ValueError, match="no group to map elements"):
+        profile_row_of(p, x)
+    with pytest.raises(ValueError, match="no group to map elements"):
+        invariably_generates_elements(p, [x])
 
 
 def test_monotone_in_extra_classes():

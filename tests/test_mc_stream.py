@@ -8,7 +8,6 @@ the rerun and 3-SE tests in test_chebotarev.py would not notice a changed
 stream.  The code order of ``StabChain.random_element`` is pinned here too.
 """
 
-import dataclasses
 import json
 import random
 
@@ -17,7 +16,7 @@ import pytest
 from invgen import families
 from invgen.chebotarev import McEstimate, chebotarev_mc
 from invgen.cli import main
-from invgen.generation import build_profile
+from invgen.generation import build_profile, profile_from_classes
 from invgen.group import (PermGroup, StabChain, alternating_group,
                           symmetric_group)
 from invgen.perm import Perm
@@ -143,9 +142,10 @@ def _profiles(G):
     plain = build_profile(G)
     fused = build_profile(G, fusion=fuse_classes_under(G, symmetric_group(6)))
     last = plain.num_columns - 1
-    rows = tuple(r >> last & 1 for r in plain.rows)
-    alone = dataclasses.replace(plain, num_columns=1, rows=rows,
-                                kill=tuple(r ^ 1 for r in rows))
+    column = sum(1 << r for r, row in enumerate(plain.rows) if row >> last & 1)
+    alone = profile_from_classes(plain.order, plain.class_sizes,
+                                 plain.class_labels, [column],
+                                 plain.column_labels[last:])
     return {"fused": fused, "plain": plain, "last": alone}
 
 
