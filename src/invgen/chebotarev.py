@@ -166,15 +166,16 @@ class SandwichReport:
     upper_ok: bool
 
 
-def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
-                       ) -> SandwichReport:
+def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP,
+                       subset_cap: int = DEFAULT_SUBSET_CAP) -> SandwichReport:
     """max_M v(M)^k <= 1 - P_I(G,k) <= sum_M v(M)^k, in exact rationals.
 
     Both sides range over maximal subgroup classes (the upper sum counts a
-    shared union once per class, which only weakens it).
+    shared union once per class, which only weakens it).  P_I(G,k) raises
+    CapExceeded past subset_cap distinct sets, as in p_i_exact.
     """
     maxes = maximal_subgroups(G, cap=cap)
-    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k)
+    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k, cap=subset_cap)
     max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
     sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
     return SandwichReport(k=k, max_v_pow_k=max_term, miss_probability=miss,
@@ -208,7 +209,9 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
     indices and elements are in bijection, so a uniform index is a uniform
     element.  The seed must be >= 0, since Random seeds from |seed|.  A
     profile with a column that no row kills raises ValueError, as d_i_exact
-    does: no trial would ever stop.
+    does: no trial would ever stop.  So does a profile that does not
+    describe G: another order or group, rows that do not partition G's
+    classes, or a row size that is not the sum of its classes' sizes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -218,6 +221,12 @@ def chebotarev_mc(G: PermGroup, trials: int, seed: int,
         profile = build_profile(G, cap=cap)
     check_killable(profile)
     ct = conjugacy_classes(G)
+    listed = sorted(ci for m in profile.fused_members for ci in m)
+    if (profile.order != G.order or profile.group not in (None, G)
+            or listed != list(range(len(ct.classes)))
+            or profile.class_sizes != tuple(sum(ct.classes[c].size for c in m)
+                                            for m in profile.fused_members)):
+        raise ValueError(f"profile does not describe {G.name or 'the group'}")
     full = (1 << profile.num_columns) - 1
     row_bits = [0] * len(ct.classes)
     for row, members in zip(profile.rows, profile.fused_members):

@@ -20,9 +20,9 @@ from typing import Optional
 
 from . import chebotarev as cheb
 from . import families, generation, structure
-from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
-                    PermGroup, alternating_group, generates,
-                    group_from_generators, symmetric_group)
+from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup,
+                    alternating_group, generates, group_from_generators,
+                    symmetric_group)
 from .perm import parse_cycles
 
 EXIT_OK = 0
@@ -30,7 +30,6 @@ EXIT_ASSERTION = 1
 EXIT_CAP = 2
 EXIT_INPUT = 3
 
-ENV_ENUM_CAP = "INVGEN_ENUM_CAP"
 ENV_LATTICE_CAP = "INVGEN_LATTICE_CAP"
 ENV_SUBSET_CAP = "INVGEN_SUBSET_CAP"
 
@@ -47,7 +46,6 @@ class _Run:
         self.args = args
         self.catalog = families.load_catalog(args.catalog)
         self.lattice_cap = args.lattice_cap
-        self.enum_cap = args.enum_cap
         self.subset_cap = args.subset_cap
 
     def group(self) -> PermGroup:
@@ -64,9 +62,9 @@ class _Run:
 
 def cmd_analyze(run: _Run) -> tuple[dict, int]:
     G = run.group()
-    ct = structure.conjugacy_classes(G, cap=run.enum_cap)
+    ct = structure.conjugacy_classes(G)
     maxes = structure.maximal_subgroups(G, cap=run.lattice_cap)
-    series = structure.chief_series(G, cap=run.enum_cap)
+    series = structure.chief_series(G)
     out = {
         "group": G.name,
         "degree": G.degree,
@@ -102,7 +100,7 @@ def cmd_invgen(run: _Run) -> tuple[dict, int]:
     if run.args.di or not run.args.check:
         d_i, witness = generation.d_i_exact(profile)
         k_g, cyclic = generation.class_count_bounds(G, cap=run.lattice_cap)
-        series = structure.chief_series(G, cap=run.enum_cap)
+        series = structure.chief_series(G)
         out["d_i"] = d_i
         out["witness"] = [profile.class_labels[r] for r in witness]
         out["bounds"] = {"k_g": k_g, "cyclic_classes": cyclic,
@@ -163,7 +161,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
             report = generation.chief_bound_check(G, cap=run.lattice_cap)
             elem_ab_2 = _is_elementary_abelian_2(G)
             equality = 2 ** report.d_i == G.order
-            ok = report.within_log2_bound and (equality == elem_ab_2)
+            ok = (report.within_chief_bound and report.within_log2_bound
+                  and equality == elem_ab_2)
             violations += not ok
             rows.append({"group": e.name, "d_i": report.d_i,
                          "log2_order": report.log2_order,
@@ -195,7 +194,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for e, G in _sweep_groups(run, max_order):
             ok = True
             for k in range(1, 9):
-                rep = cheb.p_i_sandwich_check(G, k, cap=run.lattice_cap)
+                rep = cheb.p_i_sandwich_check(G, k, cap=run.lattice_cap,
+                                              subset_cap=run.subset_cap)
                 ok = ok and rep.lower_ok and rep.upper_ok
             violations += not ok
             rows.append({"group": e.name, "k_range": "1..8", "ok": ok})
@@ -291,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--catalog", type=str, default=None,
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--enum-cap", type=int,
-                        default=_env_int(ENV_ENUM_CAP, DEFAULT_ENUM_CAP))
     common.add_argument("--lattice-cap", type=int,
                         default=_env_int(ENV_LATTICE_CAP, DEFAULT_LATTICE_CAP))
     common.add_argument("--subset-cap", type=int,
@@ -302,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
                     "of small permutation groups.",
-        epilog=f"Caps may also be set via the environment: {ENV_ENUM_CAP}, "
-               f"{ENV_LATTICE_CAP}, {ENV_SUBSET_CAP}.  Seed 0 means the "
-               f"fixed constant {DEFAULT_SEED_CONSTANT}, never wall clock.")
+        epilog=f"Caps may also be set via the environment: {ENV_LATTICE_CAP}, "
+               f"{ENV_SUBSET_CAP}.  Seed 0 means the fixed constant "
+               f"{DEFAULT_SEED_CONSTANT}, never wall clock.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_selector(p):
@@ -352,8 +350,7 @@ def _check_numbers(args) -> None:
     """Reject out-of-range numeric options, the caps' environment defaults
     included, before any work runs."""
     for name, least in (("trials", 1), ("seed", 0), ("max_order", 1),
-                        ("degree", 1), ("enum_cap", 1), ("lattice_cap", 1),
-                        ("subset_cap", 0)):
+                        ("degree", 1), ("lattice_cap", 1), ("subset_cap", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, "

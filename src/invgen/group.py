@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from .perm import Perm, _IDENT, _fast_perm
 
-DEFAULT_ENUM_CAP = 200_000       # largest group whose elements are listed
+ENUM_CAP = 200_000               # largest group whose elements are listed
 DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
 
 # generates(): product-replacement slots, and the run of consecutive random
@@ -304,11 +304,12 @@ class PermGroup:
 
     # -- element table ----------------------------------------------------
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Perm]:
-        """All elements, sorted by image tuple (identity first)."""
-        if self.order > cap:
+    def elements(self) -> list[Perm]:
+        """All elements, sorted by image tuple (identity first).  A group
+        of more than ENUM_CAP elements raises CapExceeded."""
+        if self.order > ENUM_CAP:
             raise CapExceeded(
-                f"order {self.order} exceeds enumeration cap {cap}; "
+                f"order {self.order} exceeds enumeration cap {ENUM_CAP}; "
                 "use sampling-only paths")
         if self._elements is None:
             elems = self.chain.enumerate()

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
-                    PermGroup)
+from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import MaximalClass, maximal_subgroups
-from .perm import Perm
+from .perm import Perm, _IDENT
 from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
                     conjugacy_classes, group_table, indices_of_bits,
                     largest_proper_divisor, orbits, small_generating_indices,
@@ -63,16 +62,17 @@ def is_normal_bits(tab: GroupTable, bits: int, gen_indices: Sequence[int]) -> bo
 # quotients and chief series
 
 
-def quotient_group(G: PermGroup, N: SubgroupRecord,
-                   cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """G/N as a permutation group on the cosets of N (least-member order)."""
-    tab = group_table(G, cap=cap)
+def quotient_group(G: PermGroup, N: SubgroupRecord) -> PermGroup:
+    """G/N as a permutation group on the cosets of N (least-member order).
+    More cosets than a Perm has points raises CapExceeded."""
+    tab = group_table(G)
     gen_idx = list(N.gen_indices) or [tab.identity_index]
     if not is_normal_bits(tab, N.bits, gen_idx):
         raise ValueError("subgroup is not normal")
     m = G.order // N.order
-    if m > cap:
-        raise CapExceeded(f"index {m} exceeds cap {cap}")
+    if m > len(_IDENT):
+        raise CapExceeded(f"G/N acts on {m} cosets, past the stabilizer "
+                          f"chain's bound of {len(_IDENT)} points")
     n_members = indices_of_bits(N.bits)
     coset_of = [-1] * tab.n
     coset_reps: list[int] = []
@@ -90,16 +90,15 @@ def quotient_group(G: PermGroup, N: SubgroupRecord,
     return Q
 
 
-def minimal_normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP
-                             ) -> list[SubgroupRecord]:
+def minimal_normal_subgroups(G: PermGroup) -> list[SubgroupRecord]:
     """Inclusion-minimal nontrivial normal subgroups, canonically ordered.
 
     Found as normal closures of the classes of prime-order elements: every
     minimal normal subgroup is the closure of any of its nonidentity
     elements, and it holds one of prime order.
     """
-    tab = group_table(G, cap=cap)
-    ct = conjugacy_classes(G, cap=cap)
+    tab = group_table(G)
+    ct = conjugacy_classes(G)
     closures = {normal_closure_bits(tab, [c.rep_index]) for c in ct.classes[1:]
                 if largest_proper_divisor(c.element_order) == 1}  # prime order
     minimal = sorted(
@@ -134,26 +133,25 @@ def _is_abelian_subgroup(tab: GroupTable, gen_indices: Sequence[int]) -> bool:
     return True
 
 
-def chief_series(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ChiefSeries:
+def chief_series(G: PermGroup) -> ChiefSeries:
     """A chief series of G, built by repeatedly factoring out the canonical
     least minimal normal subgroup.  The multiset of (order, abelian) pairs
     is an invariant of G even though the series itself is a choice."""
-    group_table(G, cap=cap)       # raises past the cap, cached series or not
     cached = G._cache.get("chief")
     if cached is not None:
         return cached
     factors: list[ChiefFactor] = []
     current = G
     while current.order > 1:
-        tab = group_table(current, cap=cap)
-        N = minimal_normal_subgroups(current, cap=cap)[0]
+        tab = group_table(current)
+        N = minimal_normal_subgroups(current)[0]
         abelian = _is_abelian_subgroup(tab, N.gen_indices or (tab.identity_index,))
         kind = "abelian" if abelian else "non-abelian"
         factors.append(ChiefFactor(order=N.order, abelian=abelian,
                                    description=f"{kind} chief factor of order {N.order}"))
         if N.order == current.order:
             break
-        current = quotient_group(current, N, cap=cap)
+        current = quotient_group(current, N)
     a = sum(1 for f in factors if f.abelian)
     b = len(factors) - a
     series = ChiefSeries(factors=tuple(factors), a=a, b=b)

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .group import (CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_LATTICE_CAP,
-                    PermGroup, _PR_MISSES, _order_lower_bound)
+from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup, _PR_MISSES,
+                    _order_lower_bound)
 from .perm import Perm, format_cycles, translation_table
 
 
@@ -65,10 +65,10 @@ class GroupTable:
     """Element table of a group with index-level multiplication and
     per-generator conjugation maps."""
 
-    def __init__(self, group: PermGroup, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, group: PermGroup):
         self.group = group
         self.generators = group.generators or [group.identity()]
-        self.elements = group.elements(cap=cap)
+        self.elements = group.elements()
         self.index = {p.bytes: i for i, p in enumerate(self.elements)}
         self.n = len(self.elements)
         self.identity_index = 0   # identity is lexicographically least
@@ -221,12 +221,11 @@ def indices_of_bits(bits: int) -> list[int]:
     return list(compress(range(len(digits)), digits))
 
 
-def group_table(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> GroupTable:
-    G.elements(cap=cap)           # raises past the cap, cached table or not
+def group_table(G: PermGroup) -> GroupTable:
     tab = G._cache.get("table")
     if tab is None:
         # the table and classes refer back weakly, so no cycle holds G
-        tab = GroupTable(weakref.proxy(G), cap=cap)
+        tab = GroupTable(weakref.proxy(G))
         G._cache["table"] = tab
     return tab
 
@@ -298,7 +297,6 @@ class ConjugacyTable:
     class_of: list[int]       # element index -> class index
 
     def class_of_element(self, p: Perm) -> int:
-        # the classes were read off this table, so no cap applies here
         i = self.group._cache["table"].index.get(p.bytes)
         if i is None:
             raise ValueError(f"{format_cycles(p)} is not an element of "
@@ -306,10 +304,10 @@ class ConjugacyTable:
         return self.class_of[i]
 
 
-def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjugacyTable:
+def conjugacy_classes(G: PermGroup) -> ConjugacyTable:
     """Partition of G into conjugation orbits, in canonical order:
     (size, element order of representative, least representative)."""
-    tab = group_table(G, cap=cap)
+    tab = group_table(G)
     cached = G._cache.get("conjugacy")
     if cached is not None:
         return cached

@@ -284,6 +284,31 @@ def test_mc_raises_on_a_column_no_row_kills():
         chebotarev_mc(V, 1, 1, profile=p)
 
 
+def test_mc_checks_that_the_profile_describes_the_group():
+    A5 = alternating_group(5)
+    c2_squared_shape = profile_from_classes(4, [1, 1, 1, 1], "abcd",
+                                            [0b0110, 0b1010, 0b1100], "xyz")
+    full = build_profile(A5)
+    columns = [sum(1 << r for r, row in enumerate(full.rows) if row >> j & 1)
+               for j in range(full.num_columns)]
+    sizes = list(full.class_sizes)
+    swapped = profile_from_classes(60, sizes[:1] + sizes[:0:-1],
+                                   full.class_labels, columns,
+                                   full.column_labels)
+    two_rows = profile_from_classes(60, [1, 59], "ab", [0b10], "x")
+    bad = [c2_squared_shape, build_profile(symmetric_group(5)),
+           build_profile(alternating_group(5)), swapped, two_rows]
+    for p in bad:
+        with pytest.raises(ValueError, match="does not describe A5"):
+            chebotarev_mc(A5, 10, seed=1, profile=p)
+    # A5's own class data, with no group, gives the same stream
+    rebuilt = profile_from_classes(60, full.class_sizes, full.class_labels,
+                                   columns, full.column_labels)
+    assert (chebotarev_mc(A5, 500, seed=6, profile=rebuilt)
+            == chebotarev_mc(A5, 500, seed=6, profile=full)
+            == chebotarev_mc(A5, 500, seed=6))
+
+
 def test_mc_bit_identical_reruns():
     G = alternating_group(5)
     assert chebotarev_mc(G, 2000, seed=42) == chebotarev_mc(G, 2000, seed=42)

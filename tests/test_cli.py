@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from invgen import cli
+from invgen import cli, generation
 from invgen.cli import main
+from invgen.group import StabChain
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +141,26 @@ def test_sweep_lemma23_small(capsys):
     assert code == 0 and data["violations"] == 0
 
 
+def test_sweep_lemma23_holds_the_subset_cap(capsys):
+    code, data = run_json(capsys, "sweep", "lemma23", "--subset-cap", "0",
+                          "--max-order", "12")
+    assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
+    assert "subset cap 0" in data["reason"]
+
+
+def test_sweep_theorem1_checks_the_chief_bound(capsys, monkeypatch):
+    # a report that breaks only d_I <= a + 2b must fail the sweep
+    check = generation.chief_bound_check
+
+    def past_the_chief_bound(G, cap):
+        return dataclasses.replace(check(G, cap=cap),
+                                   within_chief_bound=False)
+    monkeypatch.setattr(generation, "chief_bound_check", past_the_chief_bound)
+    code, data = run_json(capsys, "sweep", "theorem1", "--max-order", "12")
+    assert code == cli.EXIT_ASSERTION
+    assert data["violations"] == len(data["rows"]) > 0
+
+
 def test_sweep_prop24_small(capsys):
     code, data = run_json(capsys, "sweep", "prop24", "--max-order", "130")
     assert code == 0 and data["violations"] == 0
@@ -155,7 +177,6 @@ def test_sweep_prop24_small(capsys):
     ("sweep", "theorem1", "--max-order", "0"),
     ("sweep", "lemma23", "--max-order", "-3"),
     ("analyze", "A5", "--lattice-cap", "-5"),
-    ("analyze", "A5", "--enum-cap", "0"),
     ("chebotarev", "A5", "--subset-cap", "-1"),
     ("analyze", "--gens", "(1 2)", "--degree", "0"),
 ])
@@ -173,6 +194,8 @@ def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
     (("sweep", "bogus"), "invalid choice: 'bogus'"),
     (("chebotarev", "A5", "--trials", "abc"), "invalid int value: 'abc'"),
     (("analyze", "A5", "--no-such-flag"), "unrecognized arguments"),
+    (("analyze", "A5", "--enum-cap", "10"),
+     "unrecognized arguments: --enum-cap 10"),
 ])
 def test_usage_errors_are_input_errors(capsys, argv, words):
     # argparse would exit 2, which is the cap code
@@ -219,8 +242,7 @@ def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
                     "reason": "class 5a uncovered: incomplete search"}
 
 
-@pytest.mark.parametrize("var", [cli.ENV_ENUM_CAP, cli.ENV_LATTICE_CAP,
-                                 cli.ENV_SUBSET_CAP])
+@pytest.mark.parametrize("var", [cli.ENV_LATTICE_CAP, cli.ENV_SUBSET_CAP])
 def test_non_integer_cap_variable_is_an_input_error(capsys, monkeypatch, var):
     monkeypatch.setenv(var, "abc")
     code, data = run_json(capsys, "analyze", "A5")
@@ -230,7 +252,6 @@ def test_non_integer_cap_variable_is_an_input_error(capsys, monkeypatch, var):
 
 
 @pytest.mark.parametrize("var, value, flag", [
-    (cli.ENV_ENUM_CAP, "0", "--enum-cap"),
     (cli.ENV_LATTICE_CAP, "-5", "--lattice-cap"),
     (cli.ENV_SUBSET_CAP, "-1", "--subset-cap"),
 ])
@@ -243,6 +264,32 @@ def test_out_of_range_cap_variable_is_an_input_error(capsys, monkeypatch,
 
 
 def test_integer_cap_variable_sets_the_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_ENUM_CAP, "10")
+    monkeypatch.setenv(cli.ENV_LATTICE_CAP, "10")
     code, data = run_json(capsys, "analyze", "A5")
     assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
+
+
+@pytest.mark.parametrize("command", ["analyze", "invgen", "chebotarev"])
+def test_element_table_bound_holds_past_a_raised_lattice_cap(
+        capsys, monkeypatch, command):
+    # S9 (order 362,880) passes the lattice cap given here, but not the
+    # fixed element-table bound, which raises before any enumeration
+    def no_enumeration(chain):
+        raise AssertionError("the chain was enumerated")
+    monkeypatch.setattr(StabChain, "enumerate", no_enumeration)
+    code, data = run_json(capsys, command, "--gens",
+                          "(1 2);(1 2 3 4 5 6 7 8 9)", "--degree", "9",
+                          "--lattice-cap", "400000")
+    assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
+    assert "200000" in data["reason"]
+
+
+def test_coset_action_past_the_degree_bound_is_a_cap(capsys):
+    # C2 x A6: the chief series factors out C2 and would act on the 360
+    # cosets of it, past a Perm's 256 points
+    code, data = run_json(capsys, "analyze", "--gens",
+                          "(1 2 3);(2 3 4 5 6);(7 8)", "--degree", "8")
+    assert code == cli.EXIT_CAP
+    assert data == {"error": "cap-exceeded",
+                    "reason": "G/N acts on 360 cosets, past the stabilizer "
+                              "chain's bound of 256 points"}

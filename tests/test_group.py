@@ -89,9 +89,9 @@ def test_enumeration_complete_and_duplicate_free():
 
 
 def test_enumeration_cap():
-    a9 = alternating_group(9)
-    with pytest.raises(CapExceeded):
-        a9.elements(cap=100_000)
+    a10 = alternating_group(10)
+    with pytest.raises(CapExceeded, match="enumeration cap 200000"):
+        a10.elements()
 
 
 def test_random_element_trivial_group():

@@ -5,12 +5,14 @@
 For each group in the bundled catalog it runs, in-process through
 ``invgen.cli.main`` and with ``--lattice-cap 25000``, the commands
 ``analyze``, ``invgen --di`` and ``chebotarev --exact``, and ``invgen
---fuse <overgroup> --di`` where the catalog names an overgroup.  The
-digest covers each command line, its exit code and its output, so two
-trees that print the same digest gave byte-identical CLI output.  The
-caps' environment variables are cleared first, so that their defaults
-apply.  The package is imported from the ``src/`` next to this script, so
-the digest is that of the checkout the script sits in.
+--fuse <overgroup> --di`` where the catalog names an overgroup; then the
+sweeps ``theorem1``, ``theorem2``, ``prop24`` and ``lemma23`` with the
+same cap, and ``sweep families --trials 100``.  The digest covers each
+command line, its exit code and its output, so two trees that print the
+same digest gave byte-identical CLI output.  Every ``INVGEN_*``
+environment variable is cleared first, so that the defaults apply.  The
+package is imported from the ``src/`` next to this script, so the digest
+is that of the checkout the script sits in.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ def commands() -> list[list[str]]:
         if entry.overgroup is not None:
             out.append(["invgen", entry.name, "--fuse", entry.overgroup,
                         "--di", *CAP])
+    out += [["sweep", suite, *CAP]
+            for suite in ("theorem1", "theorem2", "prop24", "lemma23")]
+    out.append(["sweep", "families", "--trials", "100"])
     return out
 
 
 def main() -> None:
-    for name in (cli.ENV_ENUM_CAP, cli.ENV_LATTICE_CAP, cli.ENV_SUBSET_CAP):
-        os.environ.pop(name, None)
+    for name in [n for n in os.environ if n.startswith("INVGEN_")]:
+        del os.environ[name]
     digest = hashlib.sha256()
     for argv in commands():
         buf = io.StringIO()
