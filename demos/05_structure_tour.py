@@ -1,25 +1,17 @@
-"""Structure tour: lattices, quotients, chief series, nilpotency, and the
+"""Structure tour: lattices, chief series, nilpotency, and the
 almost-simple example whose fixed-point-free elements all sit in the socle.
 """
 
-from invgen import (alternating_group, catalog_group, chief_series,
-                    conjugacy_classes, find_noninvariable_generating_set,
-                    is_nilpotent, load_catalog, maximal_subgroups,
-                    quotient_group, subgroup_lattice, symmetric_group)
+from invgen import (catalog_group, chief_series,
+                    find_noninvariable_generating_set, is_nilpotent,
+                    load_catalog, maximal_subgroups, subgroup_lattice,
+                    symmetric_group)
 from invgen.families import almost_simple_lower_example
 from invgen.group import PermGroup
-from invgen.structure import group_table, is_normal_bits
 
 S4 = symmetric_group(4)
 print("S4 has", len(subgroup_lattice(S4)), "subgroups;",
       len(maximal_subgroups(S4)), "maximal classes")
-
-v4 = next(r for r in subgroup_lattice(S4)
-          if r.order == 4 and is_normal_bits(group_table(S4), r.bits,
-                                             r.gen_indices))
-Q = quotient_group(S4, v4)
-print("S4 modulo its normal four-group: order", Q.order,
-      "with element orders", sorted({p.order() for p in Q.elements()}))
 
 series = chief_series(S4)
 print("chief series factors of S4:",

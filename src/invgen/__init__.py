@@ -15,7 +15,7 @@ from .group import (CapExceeded, PermGroup, alternating_group, generates,
 from .structure import (ChiefSeries, ConjugacyTable, FusionMap,
                         SubgroupRecord, chief_series, conjugacy_classes,
                         fuse_classes_under, is_nilpotent, maximal_subgroups,
-                        quotient_group, subgroup_lattice)
+                        subgroup_lattice)
 from .maximal import MaximalClass
 from .generation import (IncidenceProfile, build_profile, chief_bound_check,
                          class_count_bounds, d_i_exact,

@@ -357,6 +357,14 @@ def _check_numbers(args) -> None:
                              f"got {value}")
 
 
+def _emit(text: str) -> None:
+    """Print; if the reader has closed stdout, point it at os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         # the cap defaults are read from the environment here
@@ -369,20 +377,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AssertionError as e:
         # an internal consistency check failed, e.g. the maximal-search
         # tripwire: a mathematical failure, reported like any other result
-        print(json.dumps({"error": "assertion", "reason": str(e)}))
+        _emit(json.dumps({"error": "assertion", "reason": str(e)}))
         return EXIT_ASSERTION
     except CapExceeded as e:
-        print(json.dumps({"error": "cap-exceeded", "reason": str(e)}))
+        _emit(json.dumps({"error": "cap-exceeded", "reason": str(e)}))
         return EXIT_CAP
     except (ValueError, KeyError, FileNotFoundError) as e:
         # str() of a KeyError is the repr of its message
         reason = str(e.args[0]) if isinstance(e, KeyError) else str(e)
-        print(json.dumps({"error": "input", "reason": reason}))
+        _emit(json.dumps({"error": "input", "reason": reason}))
         return EXIT_INPUT
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(_render_table(data))
+    _emit(json.dumps(data, indent=2) if args.format == "json"
+          else _render_table(data))
     return code
 
 

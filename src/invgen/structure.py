@@ -1,21 +1,23 @@
-"""Exact structure of enumerable groups: quotients, chief series, class
-fusion under an overgroup and nilpotency, with subgroups held as bitsets
-over element indices.  It also re-exports the element table, conjugacy
-classes and subgroup lattice (table.py) and the maximal classes (maximal.py).
+"""Exact structure of enumerable groups: normal closures, the chief
+series, class fusion under an overgroup and nilpotency, with subgroups held
+as bitsets over element indices.  Every chief factor is read off G's own
+element table as a pair of normal subgroups N < M, with no quotient group
+built.  It also re-exports the element table, conjugacy classes and
+subgroup lattice (table.py) and the maximal classes (maximal.py).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import MaximalClass, maximal_subgroups
-from .perm import Perm, _IDENT
 from .table import (ClassInfo, ConjugacyTable, GroupTable, SubgroupRecord,
                     conjugacy_classes, group_table, indices_of_bits,
-                    largest_proper_divisor, orbits, small_generating_indices,
-                    subgroup_lattice)
+                    largest_proper_divisor, orbits, prime_of_power,
+                    small_generating_indices, subgroup_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -50,65 +52,48 @@ def normalizes(A: PermGroup, G: PermGroup) -> bool:
                for a in A.generators for g in G.generators)
 
 
-def is_normal_bits(tab: GroupTable, bits: int, gen_indices: Sequence[int]) -> bool:
-    for m in tab.conj_maps():
-        for g in gen_indices:
-            if not (bits >> m[g]) & 1:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# quotients and chief series
+# chief series
 
 
-def quotient_group(G: PermGroup, N: SubgroupRecord) -> PermGroup:
-    """G/N as a permutation group on the cosets of N (least-member order).
-    More cosets than a Perm has points raises CapExceeded."""
-    tab = group_table(G)
-    gen_idx = list(N.gen_indices) or [tab.identity_index]
-    if not is_normal_bits(tab, N.bits, gen_idx):
-        raise ValueError("subgroup is not normal")
-    m = G.order // N.order
-    if m > len(_IDENT):
-        raise CapExceeded(f"G/N acts on {m} cosets, past the stabilizer "
-                          f"chain's bound of {len(_IDENT)} points")
-    n_members = indices_of_bits(N.bits)
-    coset_of = [-1] * tab.n
-    coset_reps: list[int] = []
-    for x in range(tab.n):
-        if coset_of[x] >= 0:
-            continue
-        cid = len(coset_reps)
-        coset_reps.append(x)
-        for nn in n_members:
-            coset_of[tab.mult(nn, x)] = cid
-    gens = [Perm(coset_of[tab.mult(rep, tab.index[g.bytes])] + 1
-                 for rep in coset_reps) for g in tab.generators]
-    Q = PermGroup(gens, name=f"{G.name or 'G'}/N{N.order}")
-    assert Q.order == m, "coset action has wrong order"
-    return Q
+_TRIVIAL = SubgroupRecord(bits=1, order=1, gen_indices=())   # identity is index 0
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[SubgroupRecord]:
-    """Inclusion-minimal nontrivial normal subgroups, canonically ordered.
+def _minimal_normal_over(tab: GroupTable, below: SubgroupRecord
+                         ) -> list[SubgroupRecord]:
+    """The normal subgroups of G minimal over the normal subgroup N =
+    `below`, least (order, bits) first.
 
-    Found as normal closures of the classes of prime-order elements: every
-    minimal normal subgroup is the closure of any of its nonidentity
-    elements, and it holds one of prime order.
+    Found as the inclusion-minimal normal closures of N and one class
+    representative x outside N whose order is a power of a prime p, with
+    x^p in N (for N = 1, the elements of prime order).  Each such closure
+    is normal and properly contains N, so it contains a minimal M.  And
+    each minimal M is such a closure: M/N holds a coset yN of prime order
+    p; with |y| = p^a m, p not dividing m, x = y^m lies in M, has p-power
+    order and x^p in N, and xN = (yN)^m has order p, so x is outside N.
+    The closure of N and x lies in M and properly contains N, so it is M.
+    Conjugates of x pass the same test and have the same closure.
     """
-    tab = group_table(G)
-    ct = conjugacy_classes(G)
-    closures = {normal_closure_bits(tab, [c.rep_index]) for c in ct.classes[1:]
-                if largest_proper_divisor(c.element_order) == 1}  # prime order
+    ct = conjugacy_classes(tab.group)
+    closures = set()
+    for c in ct.classes[1:]:
+        x, p = c.rep_index, prime_of_power(c.element_order)
+        if (p and not (below.bits >> x) & 1
+                and (below.bits >> functools.reduce(tab.mult, [x] * p)) & 1):
+            closures.add(normal_closure_bits(tab, [*below.gen_indices, x]))
     minimal = sorted(
         (bits.bit_count(), bits) for bits in closures
         if not any(other != bits and bits | other == bits for other in closures))
-    out = []
-    for order, bits in minimal:
-        gens = small_generating_indices(tab, indices_of_bits(bits))
-        out.append(SubgroupRecord(bits=bits, order=order, gen_indices=tuple(gens)))
-    return out
+    return [SubgroupRecord(bits=bits, order=order, gen_indices=tuple(
+        small_generating_indices(tab, indices_of_bits(bits))))
+        for order, bits in minimal]
+
+
+def minimal_normal_subgroups(G: PermGroup) -> list[SubgroupRecord]:
+    """Inclusion-minimal nontrivial normal subgroups, canonically ordered:
+    the normal closures of the classes of prime-order elements that are
+    minimal."""
+    return _minimal_normal_over(group_table(G), _TRIVIAL)
 
 
 @dataclass(frozen=True)
@@ -125,36 +110,31 @@ class ChiefSeries:
     b: int                    # non-abelian factor count
 
 
-def _is_abelian_subgroup(tab: GroupTable, gen_indices: Sequence[int]) -> bool:
-    for i, g in enumerate(gen_indices):
-        for h in gen_indices[i + 1:]:
-            if tab.mult(g, h) != tab.mult(h, g):
-                return False
-    return True
-
-
 def chief_series(G: PermGroup) -> ChiefSeries:
-    """A chief series of G, built by repeatedly factoring out the canonical
-    least minimal normal subgroup.  The multiset of (order, abelian) pairs
-    is an invariant of G even though the series itself is a choice."""
+    """A chief series 1 = N_0 < N_1 < ... < N_r = G of normal subgroups of
+    G, each N_i the least (order, bits) one minimal over N_(i-1), all in
+    G's own element table.  N_i/N_(i-1) is abelian when every commutator
+    of N_i's generators lies in N_(i-1).  The multiset of (order, abelian)
+    pairs is an invariant of G even though the series itself is a choice."""
     cached = G._cache.get("chief")
     if cached is not None:
         return cached
+    tab = group_table(G)
     factors: list[ChiefFactor] = []
-    current = G
-    while current.order > 1:
-        tab = group_table(current)
-        N = minimal_normal_subgroups(current)[0]
-        abelian = _is_abelian_subgroup(tab, N.gen_indices or (tab.identity_index,))
+    N = _TRIVIAL
+    while N.order < tab.n:
+        M = _minimal_normal_over(tab, N)[0]
+        gens = M.gen_indices       # [g, h] = (hg)^-1 gh
+        abelian = all((N.bits >> tab.mult(tab.inv(tab.mult(h, g)),
+                                          tab.mult(g, h))) & 1
+                      for i, g in enumerate(gens) for h in gens[i + 1:])
+        order = M.order // N.order
         kind = "abelian" if abelian else "non-abelian"
-        factors.append(ChiefFactor(order=N.order, abelian=abelian,
-                                   description=f"{kind} chief factor of order {N.order}"))
-        if N.order == current.order:
-            break
-        current = quotient_group(current, N)
+        factors.append(ChiefFactor(order=order, abelian=abelian,
+                                   description=f"{kind} chief factor of order {order}"))
+        N = M
     a = sum(1 for f in factors if f.abelian)
-    b = len(factors) - a
-    series = ChiefSeries(factors=tuple(factors), a=a, b=b)
+    series = ChiefSeries(factors=tuple(factors), a=a, b=len(factors) - a)
     G._cache["chief"] = series
     return series
 

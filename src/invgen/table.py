@@ -260,6 +260,13 @@ def largest_proper_divisor(n: int) -> int:
     return n // next((p for p in range(2, n + 1) if n % p == 0), 1)
 
 
+def prime_of_power(o: int) -> int:
+    """The prime p when o > 1 is a power of p, else 0."""
+    p = o // largest_proper_divisor(o)          # o's least prime
+    # o is a power of p exactly when it divides p**k, k >= log2(o)
+    return p if o > 1 and p ** o.bit_length() % o == 0 else 0
+
+
 def small_generating_indices(tab: GroupTable, members: Sequence[int]) -> list[int]:
     """A short generating list for the subgroup with the given members."""
     bound = largest_proper_divisor(len(members))
@@ -432,13 +439,8 @@ def subgroup_classes(tab: GroupTable, divisor: int) -> list[_ClassRec]:
     member of its orbit, so a conjugate of H is closed and pooled.
     """
     ct = conjugacy_classes(tab.group)
-    primes = []
-    for c in ct.classes:
-        o = c.element_order
-        p = o // largest_proper_divisor(o)      # o's least prime
-        # o is a power of p exactly when it divides p**k, k >= log2(o)
-        fits = o > 1 and divisor % o == 0 and p ** o.bit_length() % o == 0
-        primes.append(p if fits else 0)
+    primes = [prime_of_power(c.element_order) if divisor % c.element_order == 0
+              else 0 for c in ct.classes]
     powers = []                                 # (x, x^p) for each candidate
     for x, c in enumerate(ct.class_of):
         if primes[c]:

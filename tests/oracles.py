@@ -115,6 +115,38 @@ def naive_subgroup_lattice(elements) -> set[frozenset]:
     return {frozenset(map(perm_of.__getitem__, H)) for H in found}
 
 
+def naive_chief_series(elements, generators, lattice) -> list[tuple]:
+    """(order, abelian) of each factor of the chief series that climbs from
+    1, each step to the least (order, bits) normal subgroup minimal over the
+    last.  `elements` is the group in table order and `lattice` its
+    subgroups as (order, bits) records over those indices.  A subgroup is
+    normal when every generator conjugates every member into it; a factor
+    M/N is abelian when the commutator of every pair of members of M lies
+    in N."""
+    def members(r):
+        return {x for i, x in enumerate(elements) if r.bits >> i & 1}
+
+    def is_normal(r):
+        H = members(r)
+        return all(x.conjugate(g) in H for x in H for g in generators)
+
+    normal = sorted(filter(is_normal, lattice), key=lambda r: (r.order, r.bits))
+    out = []
+    N = normal[0]
+    while N.order < len(elements):
+        above = [r for r in normal if r.bits != N.bits and r.bits | N.bits == r.bits]
+        M = next(r for r in above
+                 if not any(o.bits != r.bits and o.bits | r.bits == r.bits
+                            for o in above))
+        inside = members(N)
+        M_members = members(M)
+        abelian = all(x.inverse() * y.inverse() * x * y in inside
+                      for x in M_members for y in M_members)
+        out.append((M.order // N.order, abelian))
+        N = M
+    return out
+
+
 def naive_maximal_classes(elements, lattice=None) -> list[list[frozenset]]:
     """Conjugacy classes of maximal subgroups from the naive lattice (built
     here unless given), each class sorted, classes ordered by (-order, size,

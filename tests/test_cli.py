@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from invgen import cli, generation
 from invgen.cli import main
 from invgen.group import StabChain
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -284,12 +290,27 @@ def test_element_table_bound_holds_past_a_raised_lattice_cap(
     assert "200000" in data["reason"]
 
 
-def test_coset_action_past_the_degree_bound_is_a_cap(capsys):
-    # C2 x A6: the chief series factors out C2 and would act on the 360
-    # cosets of it, past a Perm's 256 points
-    code, data = run_json(capsys, "analyze", "--gens",
-                          "(1 2 3);(2 3 4 5 6);(7 8)", "--degree", "8")
-    assert code == cli.EXIT_CAP
-    assert data == {"error": "cap-exceeded",
-                    "reason": "G/N acts on 360 cosets, past the stabilizer "
-                              "chain's bound of 256 points"}
+def test_chief_series_past_256_coset_points(capsys):
+    # C2 x A6: its chief series is read off its own element table, so the
+    # 360 cosets of C2 need no permutation group of their own
+    gens = ("--gens", "(1 2 3);(2 3 4 5 6);(7 8)", "--degree", "8")
+    code, data = run_json(capsys, "analyze", *gens)
+    assert code == cli.EXIT_OK
+    assert data["chief_series"] == [{"order": 2, "abelian": True},
+                                    {"order": 360, "abelian": False}]
+    code, data = run_json(capsys, "invgen", *gens, "--di")
+    assert code == cli.EXIT_OK
+    assert data["d_i"] == 2 and data["bounds"]["a_plus_2b"] == 3
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops early closes the pipe before the output is written
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "invgen", "analyze", "A5"],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == cli.EXIT_OK
+    assert err == b""
