@@ -67,10 +67,10 @@ def tilde_family(profile: IncidenceProfile) -> DistinctTildeFamily:
     """
     check_killable(profile)
     seen: dict[int, list[str]] = {}
-    for j, label in enumerate(profile.column_labels):
+    for j in range(profile.num_columns):
         column = sum(1 << r for r, row in enumerate(profile.rows)
                      if row >> j & 1)
-        seen.setdefault(column, []).append(label)
+        seen.setdefault(column, []).append(profile.column_labels[j])
     sets = sorted(seen)
     return DistinctTildeFamily(
         order=profile.order, sets=tuple(sets),
@@ -147,6 +147,8 @@ def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
     1 - P_I(G,k) is at most the sum of v_W^k over the distinct sets W, so
     the tail after K is at most the sum of v_W^(K+1) / (1 - v_W).
     """
+    if upto_k < 0:
+        raise ValueError("upto_k must be >= 0")
     n = family.order
     partial = sum((1 - Fraction(h, n ** k)
                    for k, h in enumerate(_hits(family, upto_k, cap))),

@@ -30,9 +30,6 @@ EXIT_ASSERTION = 1
 EXIT_CAP = 2
 EXIT_INPUT = 3
 
-ENV_LATTICE_CAP = "INVGEN_LATTICE_CAP"
-ENV_SUBSET_CAP = "INVGEN_SUBSET_CAP"
-
 DEFAULT_SEED_CONSTANT = 1729            # used when --seed 0 is given
 
 
@@ -45,8 +42,6 @@ class _Run:
     def __init__(self, args):
         self.args = args
         self.catalog = families.load_catalog(args.catalog)
-        self.lattice_cap = args.lattice_cap
-        self.subset_cap = args.subset_cap
 
     def group(self) -> PermGroup:
         if self.args.gens:
@@ -63,7 +58,7 @@ class _Run:
 def cmd_analyze(run: _Run) -> tuple[dict, int]:
     G = run.group()
     ct = structure.conjugacy_classes(G)
-    maxes = structure.maximal_subgroups(G, cap=run.lattice_cap)
+    maxes = structure.maximal_subgroups(G, cap=run.args.lattice_cap)
     series = structure.chief_series(G)
     out = {
         "group": G.name,
@@ -74,7 +69,7 @@ def cmd_analyze(run: _Run) -> tuple[dict, int]:
         "maximal_classes": [{"label": m.label, "order": m.order,
                              "class_size": m.class_size, "v": _rat(m.v)}
                             for m in maxes],
-        "nilpotent": structure.is_nilpotent(G, cap=run.lattice_cap),
+        "nilpotent": structure.is_nilpotent(G, cap=run.args.lattice_cap),
         "chief_series": [{"order": f.order, "abelian": f.abelian}
                          for f in series.factors],
     }
@@ -87,11 +82,11 @@ def cmd_invgen(run: _Run) -> tuple[dict, int]:
     if run.args.fuse:
         A = families.overgroup_by_name(run.args.fuse, run.catalog)
         fusion = structure.fuse_classes_under(G, A)
-    profile = generation.build_profile(G, fusion=fusion, cap=run.lattice_cap)
+    cap = run.args.lattice_cap
+    profile = generation.build_profile(G, fusion=fusion, cap=cap)
     out: dict = {"group": G.name, "order": G.order,
                  "rows": list(profile.class_labels),
                  "columns": list(profile.column_labels)}
-    code = EXIT_OK
     if run.args.check:
         rows = _parse_check(run.args.check, profile, G)
         ok = generation.invariably_generates(profile, rows)
@@ -99,14 +94,14 @@ def cmd_invgen(run: _Run) -> tuple[dict, int]:
                         "invariably_generates": ok}
     if run.args.di or not run.args.check:
         d_i, witness = generation.d_i_exact(profile)
-        k_g, cyclic = generation.class_count_bounds(G, cap=run.lattice_cap)
+        k_g, cyclic = generation.class_count_bounds(G, cap=cap)
         series = structure.chief_series(G)
         out["d_i"] = d_i
         out["witness"] = [profile.class_labels[r] for r in witness]
         out["bounds"] = {"k_g": k_g, "cyclic_classes": cyclic,
                          "a_plus_2b": series.a + 2 * series.b,
                          "log2_order": math.log2(G.order)}
-    return out, code
+    return out, EXIT_OK
 
 
 def _parse_check(spec: str, profile, G: PermGroup) -> list[int]:
@@ -126,13 +121,14 @@ def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
     out: dict = {"group": G.name, "order": G.order}
     if run.args.mc:
         seed = run.args.seed or DEFAULT_SEED_CONSTANT
-        est = cheb.chebotarev_mc(G, run.args.trials, seed, cap=run.lattice_cap)
+        est = cheb.chebotarev_mc(G, run.args.trials, seed,
+                                 cap=run.args.lattice_cap)
         out["mc"] = {"mean": est.mean, "se": est.std_error,
                      "trials": est.trials, "seed": est.seed}
         ratios_value = est.mean
     else:
-        family = cheb.distinct_tilde_family(G, cap=run.lattice_cap)
-        c = cheb.chebotarev_exact(family, cap=run.subset_cap)
+        family = cheb.distinct_tilde_family(G, cap=run.args.lattice_cap)
+        c = cheb.chebotarev_exact(family, cap=run.args.subset_cap)
         out["c_exact"] = {"num": c.numerator, "den": c.denominator}
         out["c_decimal"] = f"{float(c):.6f}"
         ratios_value = float(c)
@@ -155,10 +151,10 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
     suite = run.args.suite
     rows = []
     violations = 0
-    max_order = min(run.args.max_order, run.lattice_cap)
+    max_order = min(run.args.max_order, run.args.lattice_cap)
     if suite == "theorem1":
         for e, G in _sweep_groups(run, max_order):
-            report = generation.chief_bound_check(G, cap=run.lattice_cap)
+            report = generation.chief_bound_check(G, cap=run.args.lattice_cap)
             elem_ab_2 = _is_elementary_abelian_2(G)
             equality = 2 ** report.d_i == G.order
             ok = (report.within_chief_bound and report.within_log2_bound
@@ -169,8 +165,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
                          "equality": equality, "ok": ok})
     elif suite == "theorem2":
         for e, G in _sweep_groups(run, max_order):
-            rr = cheb.theorem2_ratio_report(G, cap=run.lattice_cap,
-                                            subset_cap=run.subset_cap)
+            rr = cheb.theorem2_ratio_report(G, cap=run.args.lattice_cap,
+                                            subset_cap=run.args.subset_cap)
             ok = rr.ratio_sqrt_log <= 2.0
             if e.has_tag("sharply-2-transitive"):
                 ok = ok and 1.0 <= rr.ratio_sqrt <= 2.5
@@ -180,9 +176,9 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
     elif suite == "prop24":
         seed = run.args.seed or DEFAULT_SEED_CONSTANT
         for e, G in _sweep_groups(run, max_order):
-            nil = structure.is_nilpotent(G, cap=run.lattice_cap)
+            nil = structure.is_nilpotent(G, cap=run.args.lattice_cap)
             cx = generation.find_noninvariable_generating_set(
-                G, cap=run.lattice_cap)
+                G, cap=run.args.lattice_cap)
             ok = nil == (cx is None)
             if G.order > 1:
                 sampled = _sampled_all_invgen(G, run, seed)
@@ -194,8 +190,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for e, G in _sweep_groups(run, max_order):
             ok = True
             for k in range(1, 9):
-                rep = cheb.p_i_sandwich_check(G, k, cap=run.lattice_cap,
-                                              subset_cap=run.subset_cap)
+                rep = cheb.p_i_sandwich_check(G, k, cap=run.args.lattice_cap,
+                                              subset_cap=run.args.subset_cap)
                 ok = ok and rep.lower_ok and rep.upper_ok
             violations += not ok
             rows.append({"group": e.name, "k_range": "1..8", "ok": ok})
@@ -203,8 +199,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for n in range(5, 9):
             an = alternating_group(n)
             fm = structure.fuse_classes_under(an, symmetric_group(n))
-            prof = generation.build_profile(an, fusion=fm,
-                                            cap=max(run.lattice_cap, 25_000))
+            prof = generation.build_profile(
+                an, fusion=fm, cap=max(run.args.lattice_cap, 25_000))
             x, y = families.alternating_pair(n)
             ok = generation.invariably_generates(
                 prof, [generation.profile_row_of(prof, x),
@@ -240,7 +236,7 @@ def _is_elementary_abelian_2(G: PermGroup) -> bool:
 
 
 def _sampled_all_invgen(G: PermGroup, run: _Run, seed: int) -> bool:
-    profile = generation.build_profile(G, cap=run.lattice_cap)
+    profile = generation.build_profile(G, cap=run.args.lattice_cap)
     rng = random.Random(seed)
     for _ in range(200):
         size = rng.randint(1, 3)
@@ -269,16 +265,6 @@ def _render_table(data: dict) -> str:
     return "\n".join(lines)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors (exit 3), not argparse's cap code 2."""
 
@@ -291,18 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--catalog", type=str, default=None,
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--lattice-cap", type=int,
-                        default=_env_int(ENV_LATTICE_CAP, DEFAULT_LATTICE_CAP))
+    common.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP)
     common.add_argument("--subset-cap", type=int,
-                        default=_env_int(ENV_SUBSET_CAP,
-                                         cheb.DEFAULT_SUBSET_CAP))
+                        default=cheb.DEFAULT_SUBSET_CAP)
     ap = _Parser(
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
                     "of small permutation groups.",
-        epilog=f"Caps may also be set via the environment: {ENV_LATTICE_CAP}, "
-               f"{ENV_SUBSET_CAP}.  Seed 0 means the fixed constant "
-               f"{DEFAULT_SEED_CONSTANT}, never wall clock.")
+        epilog=f"Seed 0 means the fixed constant {DEFAULT_SEED_CONSTANT}, "
+               "never wall clock.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_selector(p):
@@ -347,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject out-of-range numeric options, the caps' environment defaults
-    included, before any work runs."""
+    """Reject out-of-range numeric options before any work runs."""
     for name, least in (("trials", 1), ("seed", 0), ("max_order", 1),
                         ("degree", 1), ("lattice_cap", 1), ("subset_cap", 0)):
         value = getattr(args, name, None)
@@ -367,7 +349,6 @@ def _emit(text: str) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        # the cap defaults are read from the environment here
         args = build_parser().parse_args(argv)
         _check_numbers(args)
         run = _Run(args)

@@ -24,8 +24,7 @@ from .group import (DEFAULT_LATTICE_CAP, PermGroup, embed_tuple, generates,
 from .maximal import _orbit_bits, maximal_subgroups
 from .perm import Perm, parse_cycles
 from .structure import normal_closure_bits, normalizes
-from .table import (_normalizer_indices, conjugacy_classes, group_table,
-                    orbits)
+from .table import _ClassRec, conjugacy_classes, group_table, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def almost_simple_lower_example(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                      if not (socle_bits >> i) & 1
                      and tab.elements[i].order() == b)
     sigma_cyclic = tab.closure([sigma_idx])
-    norm = _normalizer_indices(tab, frozenset(sigma_cyclic))
+    norm = _ClassRec(tab, tuple(sigma_cyclic)).normalizer(tab)[0]
     norm_bits = tab.bits_of(norm)
     located = None
     for mc in maximal_subgroups(G, cap=cap):

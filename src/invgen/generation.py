@@ -65,6 +65,17 @@ def profile_from_classes(order: int, class_sizes: Sequence[int],
     if sum(class_sizes) != order:
         raise ValueError(f"class sizes sum to {sum(class_sizes)}, "
                          f"not to the order {order}")
+    if min(class_sizes, default=1) < 1:
+        raise ValueError("class sizes must be >= 1")
+    if len(class_labels) != len(class_sizes):
+        raise ValueError(f"{len(class_labels)} class labels for "
+                         f"{len(class_sizes)} classes")
+    if len(column_labels) != len(columns):
+        raise ValueError(f"{len(column_labels)} column labels for "
+                         f"{len(columns)} columns")
+    if not all(0 <= col < 1 << len(class_sizes) for col in columns):
+        raise ValueError("a column is not a bitset over "
+                         f"{len(class_sizes)} rows")
     full = (1 << len(columns)) - 1
     rows = tuple(sum(1 << j for j, col in enumerate(columns) if col >> r & 1)
                  for r in range(len(class_sizes)))

@@ -396,17 +396,9 @@ def power_group(T: PermGroup, k: int) -> PermGroup:
     """Direct power T^k acting on k disjoint copies of T's points."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = T.degree
-    gens = []
-    for i in range(k):
-        lo = i * n
-        for g in T.generators or [T.identity()]:
-            images = list(range(1, k * n + 1))
-            for pt in range(1, n + 1):
-                images[lo + pt - 1] = lo + g(pt)
-            gens.append(Perm(images))
-    if not gens:
-        gens = [Perm.identity(k * n)]
+    e = T.identity()
+    gens = [embed_tuple([e] * i + [g] + [e] * (k - 1 - i), k)
+            for i in range(k) for g in T.generators or [e]]
     return PermGroup(gens, name=f"{T.name or 'T'}^{k}")
 
 

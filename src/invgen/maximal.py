@@ -59,7 +59,8 @@ one dict keys each class by the sorted index tuples of all its conjugates.
 A member reference costs about 88 B in a frozenset and 8 B in a tuple: in
 the former join sweep's pool on A8 (91 classes, 37,957 conjugates) tuples
 cut the traced peak from 65.9 MB to 21.6 MB (BENCH_pool.json).  Orbits are
-walked on tuples, by `_conj_orbits`: in a bitset each image bit is set in
+walked on tuples, by the class record `_ClassRec`, which also reads the
+normalizer off its walk: in a bitset each image bit is set in
 an int as wide as the table, so conjugating a subgroup of 8 / 64 / 360
 members of A8 took 7.5 / 126 / 607 us as a bitset and 0.6 / 3.5 / 18 us as
 a frozenset (CPython 3.11, one core of an Intel Xeon; ratios 12 to 37 over
@@ -80,9 +81,8 @@ from fractions import Fraction
 
 from .group import (CapExceeded, DEFAULT_LATTICE_CAP, PermGroup,
                     _order_lower_bound, generates)
-from .table import (GroupTable, _ClassPool, _ClassRec, _conj_orbits,
-                    _normalizer_indices, conjugacy_classes, group_table,
-                    indices_of_bits, small_generating_indices,
+from .table import (GroupTable, _ClassPool, _ClassRec, conjugacy_classes,
+                    group_table, indices_of_bits, small_generating_indices,
                     subgroup_classes)
 
 
@@ -122,8 +122,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def _orbit_bits(tab, members) -> list[int]:
     """Conjugation orbit of a subgroup, as member bitsets."""
-    return list(map(tab.bits_of, _conj_orbits(
-        tab.conj_maps(), [tuple(sorted(members))])[0]))
+    return list(map(tab.bits_of, _ClassRec(tab, tuple(sorted(members))).orbit))
 
 
 def _inside(bits: int, found: list[list[int]]) -> bool:
@@ -298,7 +297,7 @@ def _sweep_small_maximals(tab, divisor: int, sylows: dict[int, list[int]],
     else:
         pool = _ClassPool(tab)
         # |N_G(P)| = |G|/|orbit|, a multiple of |P|
-        candidates = [_normalizer_indices(tab, r.rep) for p in primes
+        candidates = [r.normalizer(tab)[0] for p in primes
                       for r in _sylow_subgroup_classes(tab, p, sylows[p], pool)
                       if len(r.orbit) > 1
                       and divisor % (tab.n // len(r.orbit)) == 0]

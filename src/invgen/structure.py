@@ -59,10 +59,9 @@ def normalizes(A: PermGroup, G: PermGroup) -> bool:
 _TRIVIAL = SubgroupRecord(bits=1, order=1, gen_indices=())   # identity is index 0
 
 
-def _minimal_normal_over(tab: GroupTable, below: SubgroupRecord
-                         ) -> list[SubgroupRecord]:
-    """The normal subgroups of G minimal over the normal subgroup N =
-    `below`, least (order, bits) first.
+def _minimal_normal_over(tab: GroupTable, below: SubgroupRecord) -> list[int]:
+    """The bitsets of the normal subgroups of G minimal over the normal
+    subgroup N = `below`, least (order, bits) first.
 
     Found as the inclusion-minimal normal closures of N and one class
     representative x outside N whose order is a power of a prime p, with
@@ -81,26 +80,30 @@ def _minimal_normal_over(tab: GroupTable, below: SubgroupRecord
         if (p and not (below.bits >> x) & 1
                 and (below.bits >> functools.reduce(tab.mult, [x] * p)) & 1):
             closures.add(normal_closure_bits(tab, [*below.gen_indices, x]))
-    minimal = sorted(
-        (bits.bit_count(), bits) for bits in closures
-        if not any(other != bits and bits | other == bits for other in closures))
-    return [SubgroupRecord(bits=bits, order=order, gen_indices=tuple(
+    return sorted(
+        (bits for bits in closures if not any(
+            other != bits and bits | other == bits for other in closures)),
+        key=lambda bits: (bits.bit_count(), bits))
+
+
+def _record(tab: GroupTable, bits: int) -> SubgroupRecord:
+    """The record of the subgroup with these member bits."""
+    return SubgroupRecord(bits=bits, order=bits.bit_count(), gen_indices=tuple(
         small_generating_indices(tab, indices_of_bits(bits))))
-        for order, bits in minimal]
 
 
 def minimal_normal_subgroups(G: PermGroup) -> list[SubgroupRecord]:
     """Inclusion-minimal nontrivial normal subgroups, canonically ordered:
     the normal closures of the classes of prime-order elements that are
     minimal."""
-    return _minimal_normal_over(group_table(G), _TRIVIAL)
+    tab = group_table(G)
+    return [_record(tab, bits) for bits in _minimal_normal_over(tab, _TRIVIAL)]
 
 
 @dataclass(frozen=True)
 class ChiefFactor:
     order: int
     abelian: bool
-    description: str
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,12 @@ def chief_series(G: PermGroup) -> ChiefSeries:
     factors: list[ChiefFactor] = []
     N = _TRIVIAL
     while N.order < tab.n:
-        M = _minimal_normal_over(tab, N)[0]
+        M = _record(tab, _minimal_normal_over(tab, N)[0])
         gens = M.gen_indices       # [g, h] = (hg)^-1 gh
         abelian = all((N.bits >> tab.mult(tab.inv(tab.mult(h, g)),
                                           tab.mult(g, h))) & 1
                       for i, g in enumerate(gens) for h in gens[i + 1:])
-        order = M.order // N.order
-        kind = "abelian" if abelian else "non-abelian"
-        factors.append(ChiefFactor(order=order, abelian=abelian,
-                                   description=f"{kind} chief factor of order {order}"))
+        factors.append(ChiefFactor(order=M.order // N.order, abelian=abelian))
         N = M
     a = sum(1 for f in factors if f.abelian)
     series = ChiefSeries(factors=tuple(factors), a=a, b=len(factors) - a)

@@ -3,9 +3,11 @@ directly: conjugacy classes, classes of subgroups and the full subgroup
 lattice.  Elements are numbered in sorted order (identity 0); records hold
 bitsets over these indices, in a fixed canonical order so reports are
 reproducible.  One breadth-first helper, ``orbits``, walks the orbits and
-reachable sets of conjugacy classes, fused classes, class tuples, subgroup
-classes, normalizer orbits, the cyclic-subgroup count and the states of
-the Chebotarev chain.
+reachable sets of conjugacy classes, fused classes, class tuples,
+normalizer orbits, the cyclic-subgroup count and the states of the
+Chebotarev chain.  A class of subgroups is walked once, by its record
+``_ClassRec``, which lists its conjugates in the order ``orbits`` would
+and keeps the walk's steps, from which it reads the normalizer.
 
 One walk, ``subgroup_classes``, finds the classes of subgroups of order
 dividing a given number, extending one representative per class by one
@@ -350,56 +352,54 @@ def conjugacy_classes(G: PermGroup) -> ConjugacyTable:
 # conjugacy classes of subgroups
 
 
-def _conj_orbits(maps: list[list[int]], subgroups: list[tuple]
-                 ) -> list[list[tuple]]:
-    """The orbits (by ``orbits``) that meet the given subgroups, each a
-    sorted index tuple, under the elements with these conjugation maps."""
-    return orbits(subgroups, lambda s: [tuple(sorted(map(m.__getitem__, s)))
-                                        for m in maps])
-
-
-def _normalizer_indices(tab: GroupTable, members) -> list[int]:
-    """Element indices of the normalizer N of the subgroup with these
-    members.  The orbit under conjugation gives |N| = |G| / |orbit|; its
-    Schreier generators generate N, so they are closed one at a time, each
-    only if not already in the closure, until the closure reaches |N|."""
-    gen_idx = [tab.index[g.bytes] for g in tab.generators]
-    maps = tab.conj_maps()
-    members = tuple(sorted(members))
-    transversal = {members: tab.identity_index}
-    orbit = [members]
-    edges = []              # (t_s, g, t_sg): Schreier generator t_s g t_sg^-1
-    for s in orbit:
-        c = transversal[s]
-        for m, gi in zip(maps, gen_idx):
-            t = tuple(sorted(map(m.__getitem__, s)))
-            if t not in transversal:
-                transversal[t] = tab.mult(c, gi)
-                orbit.append(t)
-            else:
-                edges.append((c, gi, transversal[t]))
-    order = tab.n // len(orbit)
-    stab_gens: list[int] = []
-    closure = [tab.identity_index]
-    for c, gi, d in edges:
-        if len(closure) == order:
-            break
-        sg = tab.mult(tab.mult(c, gi), tab.inv(d))
-        if sg not in closure:
-            stab_gens.append(sg)
-            closure = tab.closure(stab_gens)
-    assert len(closure) * len(orbit) == tab.n, "orbit-stabilizer mismatch"
-    return closure
-
-
 class _ClassRec:
-    """A conjugacy class of subgroups held by a _ClassPool."""
+    """A conjugacy class of subgroups held by a _ClassPool.
 
-    __slots__ = ("rep", "orbit")
+    Its conjugates are walked once, breadth first from `rep` under the
+    group generators in generator order, as ``orbits`` walks them, and
+    `orbit` lists them in that order.  The walk keeps a conjugator t_s for
+    each new conjugate s (rep^t_s = s) and, for each other step s -> s^g,
+    the Schreier generator's parts (t_s, g, t_(s^g)), which ``normalizer``
+    reads."""
+
+    __slots__ = ("rep", "orbit", "_steps")
 
     def __init__(self, tab: GroupTable, rep: tuple):
         self.rep = rep
-        self.orbit = _conj_orbits(tab.conj_maps(), [rep])[0]
+        self.orbit = [rep]
+        self._steps: list[tuple[int, int, int]] = []
+        conjugator = {rep: tab.identity_index}
+        gens = [tab.index[g.bytes] for g in tab.generators]
+        for s in self.orbit:            # also visits appended conjugates
+            c = conjugator[s]
+            for m, g in zip(tab.conj_maps(), gens):
+                t = tuple(sorted(map(m.__getitem__, s)))
+                d = conjugator.get(t)
+                if d is None:
+                    conjugator[t] = tab.mult(c, g)
+                    self.orbit.append(t)
+                else:
+                    self._steps.append((c, g, d))
+
+    def normalizer(self, tab: GroupTable) -> tuple[list[int], list[int]]:
+        """(members, generators) of the normalizer N of `rep`, as element
+        indices.  The orbit gives |N| = |G| / |orbit|; the Schreier
+        generators t_s g t_(s^g)^-1 of the walk's steps generate N, so they
+        are closed one at a time, each only if not already in the closure,
+        until the closure reaches |N|."""
+        order = tab.n // len(self.orbit)
+        gens: list[int] = []
+        members = [tab.identity_index]
+        for c, g, d in self._steps:
+            if len(members) == order:
+                break
+            sg = tab.mult(tab.mult(c, g), tab.inv(d))
+            if sg not in members:
+                gens.append(sg)
+                members = tab.closure(gens)
+        assert len(members) * len(self.orbit) == tab.n, \
+            "orbit-stabilizer mismatch"
+        return members, gens
 
 
 class _ClassPool:
@@ -451,8 +451,7 @@ def subgroup_classes(tab: GroupTable, divisor: int) -> list[_ClassRec]:
     pool.add((tab.identity_index,))
     for rec in pool.all:                        # also visits appended records
         k_gens = small_generating_indices(tab, rec.rep)
-        maps = [tab.elem_conj_map(g) for g in small_generating_indices(
-            tab, _normalizer_indices(tab, rec.rep))]
+        maps = list(map(tab.elem_conj_map, rec.normalizer(tab)[1]))
         inside = set(rec.rep)
         outside = [x for x, xp in powers if xp in inside and x not in inside]
         for orbit in orbits(outside, lambda x: [m[x] for m in maps]):

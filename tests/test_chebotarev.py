@@ -106,6 +106,21 @@ def test_s5_from_cycle_types():
 def test_profile_from_classes_checks_the_class_sizes():
     with pytest.raises(ValueError, match="sum to 3, not to the order 4"):
         profile_from_classes(4, [1, 2], ["1", "2"], [0b01], ["M"])
+    with pytest.raises(ValueError, match="class sizes must be >= 1"):
+        profile_from_classes(6, [1, -1, 6], "abc", [0b001], ["M"])
+
+
+@pytest.mark.parametrize("class_labels, columns, column_labels, message", [
+    ("abc", [0b1], [], "0 column labels for 1 columns"),
+    ("ab", [0b011], ["M"], "2 class labels for 3 classes"),
+    ("abc", [0b1011, 0b1], "MN", "not a bitset over 3 rows"),   # a 4th row
+    ("abc", [-1], "M", "not a bitset over 3 rows"),
+])
+def test_profile_from_classes_checks_the_shape(class_labels, columns,
+                                               column_labels, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_classes(6, [1, 2, 3], class_labels, columns,
+                             column_labels)
 
 
 # -- exact probabilities ------------------------------------------------------
@@ -169,6 +184,13 @@ def test_chebotarev_partial_sum_tail():
         partial, tail = chebotarev_partial_sum(fam, 50)
         assert abs(c - partial) <= tail
         assert tail < Fraction(1, 10**4)
+
+
+def test_chebotarev_partial_sum_rejects_a_negative_bound():
+    fam = distinct_tilde_family(alternating_group(5))
+    assert chebotarev_partial_sum(fam, 0)[0] == 1
+    with pytest.raises(ValueError, match="upto_k must be >= 0"):
+        chebotarev_partial_sum(fam, -1)
 
 
 def test_dedup_soundness():

@@ -248,31 +248,12 @@ def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
                     "reason": "class 5a uncovered: incomplete search"}
 
 
-@pytest.mark.parametrize("var", [cli.ENV_LATTICE_CAP, cli.ENV_SUBSET_CAP])
-def test_non_integer_cap_variable_is_an_input_error(capsys, monkeypatch, var):
-    monkeypatch.setenv(var, "abc")
+def test_cap_environment_variables_are_ignored(capsys, monkeypatch):
+    # each cap is set by its flag alone; these variables are not read
+    monkeypatch.setenv("INVGEN_LATTICE_CAP", "10")
+    monkeypatch.setenv("INVGEN_SUBSET_CAP", "abc")
     code, data = run_json(capsys, "analyze", "A5")
-    assert code == cli.EXIT_INPUT
-    assert data["error"] == "input"
-    assert var in data["reason"] and "'abc'" in data["reason"]
-
-
-@pytest.mark.parametrize("var, value, flag", [
-    (cli.ENV_LATTICE_CAP, "-5", "--lattice-cap"),
-    (cli.ENV_SUBSET_CAP, "-1", "--subset-cap"),
-])
-def test_out_of_range_cap_variable_is_an_input_error(capsys, monkeypatch,
-                                                     var, value, flag):
-    monkeypatch.setenv(var, value)
-    code, data = run_json(capsys, "analyze", "A5")
-    assert code == cli.EXIT_INPUT
-    assert data["error"] == "input" and flag in data["reason"]
-
-
-def test_integer_cap_variable_sets_the_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_LATTICE_CAP, "10")
-    code, data = run_json(capsys, "analyze", "A5")
-    assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
+    assert code == cli.EXIT_OK and data["order"] == 60
 
 
 @pytest.mark.parametrize("command", ["analyze", "invgen", "chebotarev"])

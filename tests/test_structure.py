@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from invgen import families, maximal
+from invgen import families, maximal, table
 from invgen.group import (PermGroup, alternating_group,
                           group_from_generators, power_group, symmetric_group)
 from invgen.maximal import (_factorize, _interval_maximals, _orbit_bits,
@@ -19,9 +20,8 @@ from invgen.structure import (CapExceeded, chief_series, conjugacy_classes,
                               fuse_classes_under, group_table, is_nilpotent,
                               minimal_normal_subgroups, normalizes,
                               small_generating_indices, subgroup_lattice)
-from invgen.table import (GroupTable, _ClassPool, _normalizer_indices,
-                          indices_of_bits, largest_proper_divisor,
-                          subgroup_classes)
+from invgen.table import (GroupTable, _ClassPool, _ClassRec, indices_of_bits,
+                          largest_proper_divisor, subgroup_classes)
 
 from oracles import (greedy_sylow_indices, naive_chief_series,
                      naive_conjugacy_classes, naive_fusion,
@@ -434,6 +434,28 @@ def _brute_normalizer(tab, members) -> list[int]:
             if all(tab.index[x.conjugate(g).bytes] in members for x in gens)]
 
 
+def _brute_conjugates(tab, members, normalizer) -> set[tuple]:
+    # H^g for one g in each coset N g of the normalizer N, since H^(ng) = H^g
+    out, covered = set(), set()
+    for g in range(tab.n):
+        if g not in covered:
+            covered.update(tab.mult(x, g) for x in normalizer)
+            out.add(tuple(sorted(tab.index[tab.elements[h].conjugate(
+                tab.elements[g]).bytes] for h in members)))
+    return out
+
+
+def _check_class_record(tab, members) -> list[int]:
+    # the record's normalizer and orbit against brute force; its normalizer
+    rec = _ClassRec(tab, tuple(sorted(members)))
+    norm, gens = rec.normalizer(tab)
+    assert norm == _brute_normalizer(tab, members)
+    assert tab.closure(gens) == norm
+    assert rec.orbit[0] == rec.rep and len(set(rec.orbit)) == len(rec.orbit)
+    assert set(rec.orbit) == _brute_conjugates(tab, rec.rep, norm)
+    return norm
+
+
 def test_normalizer_indices_match_brute_force(catalog, get_group):
     # seeded subgroups of one to three random elements, and the trivial
     # subgroup and the whole group
@@ -448,8 +470,7 @@ def test_normalizer_indices_match_brute_force(catalog, get_group):
             subgroups.append(tab.closure(
                 [rng.randrange(tab.n) for _ in range(rng.randint(1, 3))]))
         for h in map(frozenset, subgroups):
-            assert _normalizer_indices(tab, h) == _brute_normalizer(tab, h), (
-                e.name, sorted(h))
+            _check_class_record(tab, h)
 
 
 def test_normalizer_of_the_field_automorphism_group(get_group):
@@ -460,9 +481,7 @@ def test_normalizer_of_the_field_automorphism_group(get_group):
     socle_bits = families._derived_subgroup_bits(G)
     sigma = next(i for i in range(tab.n) if not (socle_bits >> i) & 1
                  and tab.elements[i].order() == 3)
-    h = frozenset(tab.closure([sigma]))
-    norm = _normalizer_indices(tab, h)
-    assert norm == _brute_normalizer(tab, h) and len(norm) == 18
+    assert len(_check_class_record(tab, frozenset(tab.closure([sigma])))) == 18
 
 
 def _classes_of_order_dividing(tab, divisor) -> list[list[int]]:
@@ -500,6 +519,31 @@ def test_subgroup_classes_match_one_element_extensions(name, get_group):
     assert len(got) == len(set(got))
     assert set(got) == {_least_conjugate(tab, h)
                         for h in _classes_of_order_dividing(tab, divisor)}
+
+
+# sha256 of repr([rec.rep for rec in subgroup_classes(tab, |G|)]): the
+# walk's order of classes and choice of representatives
+CLASS_WALK_PINS = {
+    "S4": "4fed5f3ea4713da8c4327ab0448af452b90837266e1d688ff30cee3655bc68be",
+    "C12": "72d1140d1e11509fc4a6a03ce36f8cac721d6c08df2e8ee25547e6232ecd8c18",
+    "S5": "95bd3d3d77e28b0e3851977659f2699e9f4405b542f17545b5fd444b5974c45b",
+    "A6": "1792819b9c239a4a9879b074c62b556f24b73babe2f7c65c3e090b4de5eafca6",
+    "S6": "b66a16c8fdc09e35770fb0d9ad6803a33db2d4ecc0f4123c0bebb9a5fa958740",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_WALK_PINS))
+def test_subgroup_classes_walk_order_is_pinned(name, get_group, monkeypatch):
+    # and one small generating list per class, that of its representative
+    calls = []
+    monkeypatch.setattr(table, "small_generating_indices",
+                        lambda tab, members: calls.append(members) or
+                        small_generating_indices(tab, members))
+    tab = group_table(get_group(name))
+    reps = [rec.rep for rec in subgroup_classes(tab, tab.n)]
+    assert hashlib.sha256(repr(reps).encode()).hexdigest() == \
+        CLASS_WALK_PINS[name]
+    assert calls == reps
 
 
 def _is_maximal(tab, members) -> bool:
@@ -549,7 +593,7 @@ def test_p_local_candidates_match_the_lattice(catalog, get_group):
         for p in _factorize(divisor):
             sylow = _sylow_indices(tab, p, p ** fact[p])
             for rec in _sylow_subgroup_classes(tab, p, sylow, pool):
-                norm = _normalizer_indices(tab, rec.rep)
+                norm = rec.normalizer(tab)[0]
                 if divisor % len(norm) == 0 and len(norm) < G.order:
                     normalizers.append(norm)
         assert {_least_conjugate(tab, n) for n in normalizers
@@ -575,8 +619,9 @@ def test_maximals_are_core_times_normalizers(catalog, get_group):
         proper = [h for h in lattice if len(h) < G.order]
         p_subgroups = {_least_conjugate(tab, h): h for h in lattice
                        if len(_factorize(len(h))) == 1}
-        normalizers = [_normalizer_indices(tab, indices_of_bits(b))
-                       for b in p_subgroups]
+        normalizers = [
+            _ClassRec(tab, tuple(indices_of_bits(b))).normalizer(tab)[0]
+            for b in p_subgroups]
         for m in proper:
             orbit = _orbit_bits(tab, m)
             if (len(orbit) == 1 or len(_factorize(len(m))) > 2
