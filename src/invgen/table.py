@@ -369,10 +369,11 @@ class _ClassRec:
         self.orbit = [rep]
         self._steps: list[tuple[int, int, int]] = []
         conjugator = {rep: tab.identity_index}
-        gens = [tab.index[g.bytes] for g in tab.generators]
+        moves = list(zip(tab.conj_maps(),
+                         [tab.index[g.bytes] for g in tab.generators]))
         for s in self.orbit:            # also visits appended conjugates
             c = conjugator[s]
-            for m, g in zip(tab.conj_maps(), gens):
+            for m, g in moves:
                 t = tuple(sorted(map(m.__getitem__, s)))
                 d = conjugator.get(t)
                 if d is None:
