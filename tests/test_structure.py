@@ -446,7 +446,8 @@ def _brute_conjugates(tab, members, normalizer) -> set[tuple]:
 
 
 def _check_class_record(tab, members) -> list[int]:
-    # the record's normalizer and orbit against brute force; its normalizer
+    # the record's normalizer and orbit against brute force; returns the
+    # normalizer
     rec = _ClassRec(tab, tuple(sorted(members)))
     norm, gens = rec.normalizer(tab)
     assert norm == _brute_normalizer(tab, members)
