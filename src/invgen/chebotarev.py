@@ -269,7 +269,7 @@ class RatioReport:
     c_value: Optional[Fraction]       # exact when available
     c_float: float
     ratio_sqrt: float                 # C / sqrt(|G|)
-    ratio_sqrt_log: float             # C / sqrt(|G| ln |G|)
+    ratio_sqrt_log: Optional[float]   # C / sqrt(|G| ln |G|); None if |G| = 1
 
 
 def theorem2_ratio_report(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP,
@@ -290,9 +290,8 @@ def theorem2_ratio_report(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP,
         c_exact = None
         c_float = chebotarev_mc(G, 20_000, 1729, cap=cap).mean
     order = G.order
-    denom = math.sqrt(order)
-    denom_log = math.sqrt(order * math.log(order)) if order > 1 else float("nan")
     return RatioReport(group_name=G.name or "G", order=order,
                        c_value=c_exact, c_float=c_float,
-                       ratio_sqrt=c_float / denom,
-                       ratio_sqrt_log=c_float / denom_log)
+                       ratio_sqrt=c_float / math.sqrt(order),
+                       ratio_sqrt_log=c_float / math.sqrt(
+                           order * math.log(order)) if order > 1 else None)

@@ -167,7 +167,8 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for e, G in _sweep_groups(run, max_order):
             rr = cheb.theorem2_ratio_report(G, cap=run.args.lattice_cap,
                                             subset_cap=run.args.subset_cap)
-            ok = rr.ratio_sqrt_log <= 2.0
+            # C(1) = 0 meets any bound, and its ratio is left out
+            ok = rr.ratio_sqrt_log is None or rr.ratio_sqrt_log <= 2.0
             if e.has_tag("sharply-2-transitive"):
                 ok = ok and 1.0 <= rr.ratio_sqrt <= 2.5
             violations += not ok
@@ -229,7 +230,7 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
 
 
 def _is_elementary_abelian_2(G: PermGroup) -> bool:
-    if G.order == 1 or G.order & (G.order - 1):
+    if G.order & (G.order - 1):       # order 1: rank 0, elementary abelian
         return False
     return all(g.order() <= 2 for g in G.generators) and \
         all((g * h) == (h * g) for g in G.generators for h in G.generators)

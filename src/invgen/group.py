@@ -371,6 +371,8 @@ def group_from_generators(gens: Sequence[Perm], name: str = "") -> PermGroup:
 
 
 def symmetric_group(n: int) -> PermGroup:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
         return PermGroup([Perm.identity(1)], name="S1")
     gens = [Perm([2, 1] + list(range(3, n + 1)))]
@@ -380,8 +382,10 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 def alternating_group(n: int) -> PermGroup:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n < 3:
-        return PermGroup([Perm.identity(max(n, 1))], name=f"A{n}")
+        return PermGroup([Perm.identity(n)], name=f"A{n}")
     three = Perm([2, 3, 1] + list(range(4, n + 1)))
     if n == 3:
         return PermGroup([three], name="A3")

@@ -18,32 +18,28 @@ lattice took 0.07 s, against 28.9 s when every subgroup found was joined
 with every other (single runs, CPython 3.11 on a shared Intel Xeon host;
 BENCH_classwalk.json).
 
-Products in the table never build a Perm.  Walks multiply on the right,
-x -> x * g: the index of x * g is that of x's string (perm.py) translated
-by g's table, one ``bytes.translate`` call and an ``index`` lookup.  An
-element's right-multiplication map (x -> x * g for every x, n entries) is
-built once the products it has cost in ``closure`` reach n, the price of
-building the map; after that each product is a list lookup.  This is the
-ski-rental rule: the count is read as a call starts, so at most 2n
-products precede the map, and the total stays within three times the
-cheaper of the two choices.  Its threshold is the table's own size, with
-nothing to tune.  There is no Cayley table: A8's would hold 20160**2
-(406M) entries, while its maximal search closes subgroups on 3,500
-distinct generators and builds maps for 11.
+Products in the table never build a Perm, and there is one rule for
+them: the index of x * g is that of x's string (perm.py) translated by g's
+table, one ``bytes.translate`` call and an ``index`` lookup.  Walks multiply
+on the right, x -> x * g.  No product map is kept; the one full map kept
+per element is conjugation's (``elem_conj_map``), which the walks of classes
+read again and again.  There is no Cayley table: A8's would hold 20160**2
+(406M) entries.
 
-A bounded closure rents its walk the same way.  Once a walk with a bound
-below n has made about as many products as one ``_order_lower_bound`` run
-of the unverified chain costs, it asks that chain once; when the chain's
-lower bound exceeds the bound, the closure returns None at once, and
-otherwise the walk goes on to the end, having paid for one run more.  A
-run sifts at least _PR_MISSES random elements through at most one level
-per point, so the threshold is _PR_MISSES times the degree in products,
-with nothing new to tune; on six catalog groups of degree 5 to 13 a run
-cost 33 to 172 products, against thresholds of 100 to 260.  The answer
-stays exact: the product of the chain's orbit lengths is a lower bound on
-|<gens>| (group.py), so a bound it exceeds is exceeded.  On A8 the seven
-normal closures of the chief series that are the whole group end after 16
-to 80 walked elements instead of 10,080.
+A bounded closure rents its walk by the ski-rental rule.  Once a walk
+with a bound below n has made about as many products as one
+``_order_lower_bound`` run of the unverified chain costs, it asks that
+chain once; when the chain's lower bound exceeds the bound, the closure
+returns None at once, and otherwise the walk goes on to the end, having
+paid for one run more.  A run sifts at least _PR_MISSES random elements
+through at most one level per point, so the threshold is _PR_MISSES
+times the degree in products, with nothing new to tune; on six catalog
+groups of degree 5 to 13 a run cost 33 to 172 products, against
+thresholds of 100 to 260.  The answer stays exact: the product of the
+chain's orbit lengths is a lower bound on |<gens>| (group.py), so a
+bound it exceeds is exceeded.  On A8 the seven normal closures of the
+chief series that are the whole group end after 16 to 80 walked elements
+instead of 10,080.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from .perm import Perm, format_cycles, translation_table
 
 class GroupTable:
     """Element table of a group with index-level multiplication and
-    per-generator conjugation maps."""
+    cached per-element conjugation maps."""
 
     def __init__(self, group: PermGroup):
         self.group = group
@@ -74,26 +70,15 @@ class GroupTable:
         self.index = {p.bytes: i for i, p in enumerate(self.elements)}
         self.n = len(self.elements)
         self.identity_index = 0   # identity is lexicographically least
-        self._conj_maps: Optional[list[list[int]]] = None
         self._inv_map: Optional[list[int]] = None
-        self._elem_conj_maps: dict[int, list[int]] = {}
-        self._right_maps: dict[int, list[int]] = {}
-        self._right_uses: dict[int, int] = {}
+        self._conj_cache: dict[int, list[int]] = {}
         # what one lower-bound run of the chain costs, in table products
         self._chain_cost = _PR_MISSES * group.degree
 
     def _table(self, g: int) -> bytes:
         return translation_table(self.elements[g].bytes)
 
-    def _right_map(self, g: int) -> list[int]:
-        t = self._table(g)
-        index = self.index
-        return [index[x.bytes.translate(t)] for x in self.elements]
-
     def mult(self, i: int, j: int) -> int:
-        m = self._right_maps.get(j)
-        if m is not None:
-            return m[i]
         return self.index[self.elements[i].bytes.translate(self._table(j))]
 
     def inv(self, i: int) -> int:
@@ -104,10 +89,8 @@ class GroupTable:
 
     def conj_maps(self) -> list[list[int]]:
         """For each group generator g, the index map i -> index(e_i ^ g)."""
-        if self._conj_maps is None:
-            self._conj_maps = [self.elem_conj_map(self.index[g.bytes])
-                               for g in self.generators]
-        return self._conj_maps
+        return [self.elem_conj_map(self.index[g.bytes])
+                for g in self.generators]
 
     def elem_conj_map(self, gi: int) -> list[int]:
         """Index map of conjugation by element gi, cached.
@@ -115,13 +98,14 @@ class GroupTable:
         One right-multiplication pass, by g, gives a(x) = (x * g)^-1, which
         is g^-1 * x^-1; then x^g = g^-1 * x * g = a(a(x)).
         """
-        cached = self._elem_conj_maps.get(gi)
+        cached = self._conj_cache.get(gi)
         if cached is not None:
             return cached
         self.inv(gi)                  # fills self._inv_map
-        right = self._right_maps.get(gi) or self._right_map(gi)
-        a = list(map(self._inv_map.__getitem__, right))
-        out = self._elem_conj_maps[gi] = list(map(a.__getitem__, a))
+        t = self._table(gi)
+        index, inv = self.index, self._inv_map
+        a = [inv[index[x.bytes.translate(t)]] for x in self.elements]
+        out = self._conj_cache[gi] = list(map(a.__getitem__, a))
         return out
 
     def double_cosets(self, members: Sequence[int]
@@ -145,30 +129,17 @@ class GroupTable:
         """Sorted indices of the subgroup generated by the given elements.
 
         BFS from the identity by right multiplication, x -> x * g for each
-        generator g: through g's map when it has one, else by translating
-        x's string by g's table (module docstring).  Such products count
-        towards g's map, which a later call builds once they reach n.  With
-        a bound below n, returns None as soon as the subgroup is seen or
-        proved to exceed it, so exactly when |<gens>| > bound: once the walk
-        has cost about one lower-bound run of the chain, the chain is asked
-        once (module docstring).
+        generator g, by translating x's string by g's table (module
+        docstring).  With a bound below n, returns None as soon as the
+        subgroup is seen or proved to exceed it, so exactly when |<gens>| >
+        bound: once the walk has cost about one lower-bound run of the
+        chain, the chain is asked once (module docstring).
         """
         n = self.n
         if bound is None:
             bound = n
         gens = sorted(set(gen_indices) - {self.identity_index})
-        maps: list[list[int]] = []
-        tables = []
-        rented = []
-        for g in gens:
-            m = self._right_maps.get(g)
-            if m is None and self._right_uses.get(g, 0) >= n:
-                m = self._right_maps[g] = self._right_map(g)
-            if m is None:
-                tables.append(self._table(g))
-                rented.append(g)
-            else:
-                maps.append(m)
+        tables = list(map(self._table, gens))
         index = self.index
         elements = self.elements
         seen = bytearray(n)
@@ -180,26 +151,16 @@ class GroupTable:
         k = 0
         for stop in (rent, n):
             while k < stop and k < len(worklist) <= bound:
-                x = worklist[k]
+                xs = elements[worklist[k]].bytes
                 k += 1
-                for m in maps:
-                    y = m[x]
+                for t in tables:
+                    y = index[xs.translate(t)]
                     if not seen[y]:
                         seen[y] = 1
                         worklist.append(y)
-                if tables:
-                    xs = elements[x].bytes
-                    for t in tables:
-                        y = index[xs.translate(t)]
-                        if not seen[y]:
-                            seen[y] = 1
-                            worklist.append(y)
             if (k == rent < len(worklist) <= bound and _order_lower_bound(
                     [elements[g] for g in gens], bound) > bound):
                 break
-        uses = self._right_uses
-        for g in rented:
-            uses[g] = uses.get(g, 0) + k
         if k < len(worklist):         # stopped early: past the bound
             return None
         worklist.sort()

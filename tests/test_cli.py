@@ -222,6 +222,34 @@ def test_sweep_with_no_rows_is_an_input_error(capsys):
     assert data["error"] == "input" and "no groups" in data["reason"]
 
 
+def test_fusing_under_s0_is_an_input_error(capsys):
+    code, data = run_json(capsys, "invgen", "C2", "--fuse", "S0")
+    assert code == cli.EXIT_INPUT
+    assert data == {"error": "input", "reason": "n must be >= 1"}
+
+
+def _no_nan(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "prop24",
+                                   "lemma23"])
+def test_catalog_sweeps_pass_the_trivial_group(capsys, tmp_path, suite):
+    # d_I(1) = 0 = log2 1 with 1 elementary abelian of rank 0, and C(1) = 0
+    # meets any bound; sqrt(1 ln 1) = 0 leaves the ratio out, not NaN
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("C1 | 1 | () | 1 | abelian\n"
+                       "C2 | 2 | (1 2) | 2 | nilpotent\n")
+    code, out = run_cli(capsys, "sweep", suite, "--catalog", str(catalog))
+    data = json.loads(out, parse_constant=_no_nan)
+    assert code == cli.EXIT_OK and data["violations"] == 0
+    assert [r["group"] for r in data["rows"]] == ["C1", "C2"]
+    if suite == "theorem1":
+        assert data["rows"][0]["equality"]
+    if suite == "theorem2":
+        assert data["rows"][0]["ratio_sqrt_log"] is None
+
+
 def test_check_with_a_non_member_names_it(capsys):
     code, data = run_json(capsys, "invgen", "A5", "--check", "(1 2)")
     assert code == 3

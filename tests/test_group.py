@@ -167,6 +167,15 @@ def test_symmetric_alternating_orders():
         assert alternating_group(n).order == math.factorial(n) // 2
 
 
+@pytest.mark.parametrize("build", [symmetric_group, alternating_group])
+def test_symmetric_and_alternating_groups_need_a_point(build):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build(n)
+    G = build(1)
+    assert (G.degree, G.order) == (1, 1)
+
+
 # -- the degree bound ----------------------------------------------------------
 
 def test_degree_256_cycle():

@@ -23,7 +23,8 @@ NAIVE_MAX = 200       # past this subgroup order, PermGroup(gens) is the oracle
 
 
 def _fresh_table(catalog, name: str) -> GroupTable:
-    # a new group object, so the table starts with no left-multiplication maps
+    # a new group object, so the table starts with no cached inverse or
+    # conjugation maps
     entry = next(e for e in catalog if e.name == name)
     return GroupTable(families.instantiate(entry))
 
@@ -40,20 +41,13 @@ def _expected(tab: GroupTable, gens: list[int]) -> list[int]:
 def test_closure_matches_oracle(catalog, name, rounds):
     tab = _fresh_table(catalog, name)
     rng = random.Random(f"closure {name}")
-    # a small pool of generators, so that each is used often enough on this
-    # one table to get a right-multiplication map while others have none yet
     pool = rng.sample(range(1, tab.n), 6)
     orders = set()
-    mixed = False
     for _ in range(rounds):
         gens = rng.sample(pool, rng.randint(1, 3))
         if rng.random() < 0.3:
             gens.append(tab.identity_index)
         members = tab.closure(gens)
-        # maps are built as a call starts, so this is what the call used
-        mapped = {g in tab._right_maps
-                  for g in gens if g != tab.identity_index}
-        mixed |= mapped == {True, False}
         assert members == _expected(tab, gens), (name, gens)
         h = len(members)
         orders.add(h)
@@ -61,7 +55,6 @@ def test_closure_matches_oracle(catalog, name, rounds):
         assert tab.closure(gens, bound=h - 1) is None
     assert len(orders) > 1
     assert tab.n in orders or name == "A7"
-    assert mixed                    # maps and table products in one closure
 
 
 def _check_bounds(tab: GroupTable, gens: list[int]) -> None:
@@ -158,8 +151,6 @@ def test_mult_matches_perm_products(catalog, name):
     tab = _fresh_table(catalog, name)
     rng = random.Random(f"mult {name}")
     g = rng.randrange(tab.n)
-    tab.closure([g])
-    tab.closure([g])                # g's uses now reach n: it has a map
     for _ in range(300):
         i, j = rng.randrange(tab.n), rng.choice([g, rng.randrange(tab.n)])
         i, j = (i, j) if rng.random() < 0.5 else (j, i)
@@ -171,11 +162,18 @@ def test_mult_matches_perm_products(catalog, name):
 @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
 def test_elem_conj_map_matches_perm_conjugation(catalog, name):
     tab = _fresh_table(catalog, name)
+
+    def conjugated(g):
+        return [tab.index[(g.inverse() * x * g).bytes] for x in tab.elements]
+
+    # the generators' maps on a fresh table, then again once other
+    # elements' maps are cached
+    gen_maps = [conjugated(g) for g in tab.generators]
+    assert tab.conj_maps() == gen_maps, name
     rng = random.Random(f"conj {name}")
     for gi in [tab.identity_index] + rng.sample(range(1, tab.n), 5):
-        g = tab.elements[gi]
-        want = [tab.index[(g.inverse() * x * g).bytes] for x in tab.elements]
-        assert tab.elem_conj_map(gi) == want, (name, gi)
+        assert tab.elem_conj_map(gi) == conjugated(tab.elements[gi]), (name, gi)
+    assert tab.conj_maps() == gen_maps, name
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "AGL(1,7)"])

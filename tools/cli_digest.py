@@ -9,10 +9,9 @@ For each group in the bundled catalog it runs, in-process through
 sweeps ``theorem1``, ``theorem2``, ``prop24`` and ``lemma23`` with the
 same cap, and ``sweep families --trials 100``.  The digest covers each
 command line, its exit code and its output, so two trees that print the
-same digest gave byte-identical CLI output.  Every ``INVGEN_*``
-environment variable is cleared first, so that the defaults apply.  The
-package is imported from the ``src/`` next to this script, so the digest
-is that of the checkout the script sits in.
+same digest gave byte-identical CLI output.  The package is imported
+from the ``src/`` next to this script, so the digest is that of the
+checkout the script sits in.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -48,8 +46,6 @@ def commands() -> list[list[str]]:
 
 
 def main() -> None:
-    for name in [n for n in os.environ if n.startswith("INVGEN_")]:
-        del os.environ[name]
     digest = hashlib.sha256()
     for argv in commands():
         buf = io.StringIO()
