@@ -37,7 +37,7 @@ from .group import CapExceeded, DEFAULT_LATTICE_CAP, PermGroup
 from .maximal import maximal_subgroups
 from .table import conjugacy_classes, orbits
 
-DEFAULT_SUBSET_CAP = 24
+CHAIN_CAP = 200_000             # most transitions the exact chain walks
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,32 @@ def distinct_tilde_family(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
     return tilde_family(build_profile(G, cap=cap))
 
 
-def _chain(family: DistinctTildeFamily, cap: int
-           ) -> tuple[dict[int, int], list[int]]:
+def _chain(family: DistinctTildeFamily) -> tuple[dict[int, int], list[int]]:
     """({row: summed class size}, the states reachable from the full
-    bitset, fewest bits first).  row(c) has bit j when set j holds class c."""
-    m = len(family.sets)
-    if m > cap:
-        raise CapExceeded(
-            f"{m} distinct sets exceed the subset cap {cap}; "
-            "use the Monte Carlo estimator instead")
+    bitset, fewest bits first).  row(c) has bit j when set j holds class c.
+    The walk raises CapExceeded once its transitions, one per state and
+    row, pass CHAIN_CAP, so a refused family costs at most the bound."""
     rows: dict[int, int] = {}
     for ci, size in enumerate(family.class_sizes):
         row = sum(1 << j for j, s in enumerate(family.sets) if s >> ci & 1)
         rows[row] = rows.get(row, 0) + size
-    states = orbits([(1 << m) - 1], lambda s: [s & row for row in rows])[0]
+    work = 0
+
+    def images(s: int) -> list[int]:
+        nonlocal work
+        work += len(rows)
+        if work > CHAIN_CAP:
+            raise CapExceeded(f"the exact chain passes {CHAIN_CAP} "
+                              "transitions; use the Monte Carlo estimator "
+                              "instead")
+        return [s & row for row in rows]
+    states = orbits([(1 << len(family.sets)) - 1], images)[0]
     return rows, sorted(states, key=lambda s: (s.bit_count(), s))
 
 
-def _hits(family: DistinctTildeFamily, upto_k: int, cap: int) -> list[int]:
+def _hits(family: DistinctTildeFamily, upto_k: int) -> list[int]:
     """How many k-tuples of elements reach state 0, for k = 0..upto_k."""
-    rows, _ = _chain(family, cap)
+    rows, _ = _chain(family)
     count = {(1 << len(family.sets)) - 1: 1}
     hits = [count.get(0, 0)]
     for _ in range(upto_k):
@@ -118,18 +124,16 @@ def _hits(family: DistinctTildeFamily, upto_k: int, cap: int) -> list[int]:
     return hits
 
 
-def p_i_exact(family: DistinctTildeFamily, k: int,
-              cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
+def p_i_exact(family: DistinctTildeFamily, k: int) -> Fraction:
     """Exact probability that k uniform random elements invariably generate."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return Fraction(_hits(family, k, cap)[k], family.order ** k)
+    return Fraction(_hits(family, k)[k], family.order ** k)
 
 
-def chebotarev_exact(family: DistinctTildeFamily,
-                     cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
+def chebotarev_exact(family: DistinctTildeFamily) -> Fraction:
     """Expected number of uniform draws until invariable generation."""
-    rows, states = _chain(family, cap)
+    rows, states = _chain(family)
     n = family.order
     wait = {0: Fraction(0)}
     for s in states[1:]:
@@ -139,8 +143,7 @@ def chebotarev_exact(family: DistinctTildeFamily,
     return wait[states[-1]]
 
 
-def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
-                           cap: int = DEFAULT_SUBSET_CAP
+def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int
                            ) -> tuple[Fraction, Fraction]:
     """(sum of 1 - P_I(G,k) for k = 0..upto_k, bound on the omitted tail).
 
@@ -151,7 +154,7 @@ def chebotarev_partial_sum(family: DistinctTildeFamily, upto_k: int,
         raise ValueError("upto_k must be >= 0")
     n = family.order
     partial = sum((1 - Fraction(h, n ** k)
-                   for k, h in enumerate(_hits(family, upto_k, cap))),
+                   for k, h in enumerate(_hits(family, upto_k))),
                   Fraction(0))
     tail_bound = sum((v ** (upto_k + 1) / (1 - v) for v in family.densities),
                      Fraction(0))
@@ -168,16 +171,16 @@ class SandwichReport:
     upper_ok: bool
 
 
-def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP,
-                       subset_cap: int = DEFAULT_SUBSET_CAP) -> SandwichReport:
+def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
+                       ) -> SandwichReport:
     """max_M v(M)^k <= 1 - P_I(G,k) <= sum_M v(M)^k, in exact rationals.
 
     Both sides range over maximal subgroup classes (the upper sum counts a
     shared union once per class, which only weakens it).  P_I(G,k) raises
-    CapExceeded past subset_cap distinct sets, as in p_i_exact.
+    CapExceeded past CHAIN_CAP transitions, as in p_i_exact.
     """
     maxes = maximal_subgroups(G, cap=cap)
-    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k, cap=subset_cap)
+    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k)
     max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
     sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
     return SandwichReport(k=k, max_v_pow_k=max_term, miss_probability=miss,
@@ -272,19 +275,18 @@ class RatioReport:
     ratio_sqrt_log: Optional[float]   # C / sqrt(|G| ln |G|); None if |G| = 1
 
 
-def theorem2_ratio_report(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP,
-                          subset_cap: int = DEFAULT_SUBSET_CAP
+def theorem2_ratio_report(G: PermGroup, cap: int = DEFAULT_LATTICE_CAP
                           ) -> RatioReport:
     """C(G) against the square-root growth scale.
 
-    Past the subset cap, C(G) is a Monte Carlo estimate of 20,000 trials at
-    seed 1729.  No pass/fail here: the acceptance sweep asserts recorded
-    constants for the catalog, since the true growth constant is not pinned
-    down.
+    Past CHAIN_CAP transitions, C(G) is a Monte Carlo estimate of 20,000
+    trials at seed 1729.  No pass/fail here: the acceptance sweep asserts
+    recorded constants for the catalog, since the true growth constant is
+    not pinned down.
     """
     family = distinct_tilde_family(G, cap=cap)
     try:
-        c_exact: Optional[Fraction] = chebotarev_exact(family, cap=subset_cap)
+        c_exact: Optional[Fraction] = chebotarev_exact(family)
         c_float = float(c_exact)
     except CapExceeded:
         c_exact = None

@@ -128,7 +128,7 @@ def cmd_chebotarev(run: _Run) -> tuple[dict, int]:
         ratios_value = est.mean
     else:
         family = cheb.distinct_tilde_family(G, cap=run.args.lattice_cap)
-        c = cheb.chebotarev_exact(family, cap=run.args.subset_cap)
+        c = cheb.chebotarev_exact(family)
         out["c_exact"] = {"num": c.numerator, "den": c.denominator}
         out["c_decimal"] = f"{float(c):.6f}"
         ratios_value = float(c)
@@ -165,8 +165,7 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
                          "equality": equality, "ok": ok})
     elif suite == "theorem2":
         for e, G in _sweep_groups(run, max_order):
-            rr = cheb.theorem2_ratio_report(G, cap=run.args.lattice_cap,
-                                            subset_cap=run.args.subset_cap)
+            rr = cheb.theorem2_ratio_report(G, cap=run.args.lattice_cap)
             # C(1) = 0 meets any bound, and its ratio is left out
             ok = rr.ratio_sqrt_log is None or rr.ratio_sqrt_log <= 2.0
             if e.has_tag("sharply-2-transitive"):
@@ -191,8 +190,7 @@ def cmd_sweep(run: _Run) -> tuple[dict, int]:
         for e, G in _sweep_groups(run, max_order):
             ok = True
             for k in range(1, 9):
-                rep = cheb.p_i_sandwich_check(G, k, cap=run.args.lattice_cap,
-                                              subset_cap=run.args.subset_cap)
+                rep = cheb.p_i_sandwich_check(G, k, cap=run.args.lattice_cap)
                 ok = ok and rep.lower_ok and rep.upper_ok
             violations += not ok
             rows.append({"group": e.name, "k_range": "1..8", "ok": ok})
@@ -279,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a catalog file (default: bundled)")
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP)
-    common.add_argument("--subset-cap", type=int,
-                        default=cheb.DEFAULT_SUBSET_CAP)
     ap = _Parser(
         prog="invgen",
         description="Exact invariable generation and Chebotarev invariants "
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_numbers(args) -> None:
     """Reject out-of-range numeric options before any work runs."""
     for name, least in (("trials", 1), ("seed", 0), ("max_order", 1),
-                        ("degree", 1), ("lattice_cap", 1), ("subset_cap", 0)):
+                        ("degree", 1), ("lattice_cap", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, "
@@ -364,8 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as e:
         _emit(json.dumps({"error": "cap-exceeded", "reason": str(e)}))
         return EXIT_CAP
-    except (ValueError, KeyError, FileNotFoundError) as e:
-        # str() of a KeyError is the repr of its message
+    except (ValueError, KeyError, OSError) as e:
+        # str() of a KeyError is the repr of its message; the catalog is the
+        # one file read, so an OSError is a catalog that cannot be read
         reason = str(e.args[0]) if isinstance(e, KeyError) else str(e)
         _emit(json.dumps({"error": "input", "reason": reason}))
         return EXIT_INPUT

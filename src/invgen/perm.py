@@ -152,8 +152,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse disjoint cycle notation over 1..degree.
 
-    Grammar: cycles in parentheses, points separated by whitespace,
-    "()" is the identity.  Points absent from the text are fixed.
+    Grammar: cycles in parentheses, points in ASCII digits separated by
+    whitespace, "()" is the identity.  Points absent from the text are fixed.
     Repeated points (within or across cycles) are an error: the input
     must be genuinely disjoint cycles.
     """
@@ -171,10 +171,9 @@ def parse_cycles(text: str, degree: int) -> Perm:
         pts = body.split()
         if not pts:
             continue
-        try:
-            cyc = [int(p) for p in pts]
-        except ValueError:
-            raise ValueError(f"malformed cycle notation: {text!r}") from None
+        if not all(p.isascii() and p.isdigit() for p in pts):
+            raise ValueError(f"malformed cycle notation: {text!r}")
+        cyc = [int(p) for p in pts]
         for p in cyc:
             if not 1 <= p <= degree:
                 raise ValueError(f"point {p} out of range 1..{degree}")

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from invgen.chebotarev import (DEFAULT_SUBSET_CAP, chebotarev_exact,
-                               chebotarev_mc, chebotarev_partial_sum,
+from invgen.chebotarev import (chebotarev_exact, chebotarev_mc,
+                               chebotarev_partial_sum,
                                distinct_tilde_family, p_i_exact,
                                p_i_sandwich_check, theorem2_ratio_report,
                                tilde_family)
@@ -160,11 +160,24 @@ def test_p_i_matches_exhaustive_oracle():
             assert p_i_exact(fam, k) == exhaustive_p_i(G, k), (G.name, k)
 
 
-def test_subset_cap():
-    fam = distinct_tilde_family(mk("(1 2);(3 4);(5 6);(7 8)", 8))
-    assert len(fam) == 15
-    with pytest.raises(CapExceeded, match="Monte Carlo"):
-        p_i_exact(fam, 2, cap=10)
+def c2_power(n):
+    return mk(";".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n)), 2 * n,
+              f"C2^{n}")
+
+
+def test_chain_cap():
+    # C2^7's chain has 29,212 states times 128 rows, past the 200,000 bound
+    fam = distinct_tilde_family(c2_power(7))
+    with pytest.raises(CapExceeded, match="200000 .*Monte Carlo"):
+        p_i_exact(fam, 2)
+    with pytest.raises(CapExceeded, match="200000 .*Monte Carlo"):
+        chebotarev_partial_sum(fam, 2)
+
+
+def test_p_i_exact_rejects_a_negative_k():
+    fam = distinct_tilde_family(alternating_group(5))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        p_i_exact(fam, -1)
 
 
 # -- the invariant itself -----------------------------------------------------
@@ -220,25 +233,24 @@ def test_chain_matches_inclusion_exclusion(catalog, get_group):
     assert checked >= 30
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_chain_on_elementary_abelian_2_groups(n):
     """In C2^n invariable generation is generation, so C(G) is the expected
     number of uniform vectors that span F_2^n, the sum over i < n of
     2^n/(2^n - 2^i), and P_I(G,k) is the product over i < n of
-    1 - 2^i/2^k.  Past n = 4 the 2^n - 1 distinct sets exceed the default
-    cap."""
-    G = mk(";".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n)), 2 * n)
-    fam = distinct_tilde_family(G)
+    1 - 2^i/2^k.  C2^6's chain walks 180,800 transitions, within the
+    bound; C2^7's would walk 3.7 million, and is refused."""
+    fam = distinct_tilde_family(c2_power(n))
     assert len(fam) == 2 ** n - 1
-    if len(fam) > DEFAULT_SUBSET_CAP:
+    if n == 7:
         with pytest.raises(CapExceeded, match="Monte Carlo"):
             chebotarev_exact(fam)
-    cap = 2 ** n - 1
-    assert chebotarev_exact(fam, cap=cap) == \
+        return
+    assert chebotarev_exact(fam) == \
         sum(Fraction(2 ** n, 2 ** n - 2 ** i) for i in range(n))
     for k in range(n, n + 3):
         want = math.prod(1 - Fraction(2 ** i, 2 ** k) for i in range(n))
-        assert p_i_exact(fam, k, cap=cap) == want, k
+        assert p_i_exact(fam, k) == want, k
 
 
 # -- sandwich -----------------------------------------------------------------
@@ -361,3 +373,13 @@ def test_ratio_report_sharply_two_transitive():
                             ("(1 2 3 4 5);(2 3 5 4)", 5, "AGL(1,5)")]:
         rep = theorem2_ratio_report(mk(spec, deg, name))
         assert 1.0 <= rep.ratio_sqrt <= 2.5
+
+
+def test_ratio_report_falls_back_to_monte_carlo_past_the_chain_cap():
+    G = c2_power(7)
+    rep = theorem2_ratio_report(G)
+    est = chebotarev_mc(G, 20_000, 1729)
+    assert rep.c_value is None and rep.c_float == est.mean
+    c = sum(Fraction(2 ** 7, 2 ** 7 - 2 ** i) for i in range(7))
+    assert abs(rep.c_float - float(c)) <= 4 * est.std_error
+    assert rep.ratio_sqrt == rep.c_float / math.sqrt(128)

@@ -12,6 +12,7 @@ from invgen.cli import main
 from invgen.group import StabChain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+C2_7 = ";".join(f"({2 * i + 1} {2 * i + 2})" for i in range(7))
 
 
 def run_cli(capsys, *argv):
@@ -102,12 +103,13 @@ def test_cap_exit_code(capsys):
     assert data["error"] == "cap-exceeded"
 
 
-def test_subset_cap_exit_code(capsys):
-    # A5 has two distinct unions, past a subset cap of 1
-    code, data = run_json(capsys, "chebotarev", "A5", "--subset-cap", "1")
+def test_chain_cap_exit_code(capsys):
+    # C2^7's exact chain would walk 3.7 million transitions
+    code, data = run_json(capsys, "chebotarev", "--gens", C2_7,
+                          "--degree", "14")
     assert code == cli.EXIT_CAP
     assert data["error"] == "cap-exceeded"
-    assert "subset cap 1" in data["reason"]
+    assert "200000 transitions" in data["reason"]
 
 
 def test_input_error_exit_code(capsys):
@@ -119,6 +121,35 @@ def test_input_error_exit_code(capsys):
 def test_bad_cycles_exit_code(capsys):
     code, data = run_json(capsys, "analyze", "--gens", "(1 2", "--degree", "3")
     assert code == 3
+
+
+def test_non_ascii_digit_points_exit_code(capsys):
+    # int() would read "1_2" as 12
+    code, data = run_json(capsys, "analyze", "--gens", "(1_2 3)",
+                          "--degree", "12")
+    assert code == cli.EXIT_INPUT
+    assert data == {"error": "input",
+                    "reason": "malformed cycle notation: '(1_2 3)'"}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("analyze",), "give a catalog group name or --gens/--degree"),
+    (("analyze", "--gens", "(1 2)"), "--gens requires --degree"),
+])
+def test_missing_group_is_an_input_error(capsys, argv, reason):
+    code, data = run_json(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert data == {"error": "input", "reason": reason}
+
+
+@pytest.mark.parametrize("make", [lambda tmp: tmp,
+                                  lambda tmp: tmp / "no-such-catalog.txt"])
+def test_unreadable_catalog_is_an_input_error(capsys, tmp_path, make):
+    # a directory or a missing file, not a traceback with exit 1
+    path = make(tmp_path)
+    code, data = run_json(capsys, "analyze", "A5", "--catalog", str(path))
+    assert code == cli.EXIT_INPUT
+    assert data["error"] == "input" and str(path) in data["reason"]
 
 
 def test_degree_past_the_chain_bound_exit_code(capsys):
@@ -147,11 +178,26 @@ def test_sweep_lemma23_small(capsys):
     assert code == 0 and data["violations"] == 0
 
 
-def test_sweep_lemma23_holds_the_subset_cap(capsys):
-    code, data = run_json(capsys, "sweep", "lemma23", "--subset-cap", "0",
-                          "--max-order", "12")
+def _c2_7_catalog(tmp_path):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(f"C2^7 | 14 | {C2_7} | 128 | abelian\n")
+    return str(catalog)
+
+
+def test_sweep_lemma23_holds_the_chain_cap(capsys, tmp_path):
+    code, data = run_json(capsys, "sweep", "lemma23",
+                          "--catalog", _c2_7_catalog(tmp_path))
     assert code == cli.EXIT_CAP and data["error"] == "cap-exceeded"
-    assert "subset cap 0" in data["reason"]
+    assert "200000 transitions" in data["reason"]
+
+
+def test_sweep_theorem2_falls_back_to_monte_carlo(capsys, tmp_path):
+    # past the chain bound C(G) is estimated, and the sweep still passes
+    code, out = run_cli(capsys, "sweep", "theorem2",
+                        "--catalog", _c2_7_catalog(tmp_path))
+    data = json.loads(out, parse_constant=_no_nan)
+    assert code == cli.EXIT_OK and data["violations"] == 0
+    assert [r["group"] for r in data["rows"]] == ["C2^7"]
 
 
 def test_sweep_theorem1_checks_the_chief_bound(capsys, monkeypatch):
@@ -183,7 +229,7 @@ def test_sweep_prop24_small(capsys):
     ("sweep", "theorem1", "--max-order", "0"),
     ("sweep", "lemma23", "--max-order", "-3"),
     ("analyze", "A5", "--lattice-cap", "-5"),
-    ("chebotarev", "A5", "--subset-cap", "-1"),
+    ("sweep", "theorem2", "--lattice-cap", "0"),
     ("analyze", "--gens", "(1 2)", "--degree", "0"),
 ])
 def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
@@ -202,6 +248,8 @@ def test_bad_numbers_exit_before_any_work(capsys, monkeypatch, argv):
     (("analyze", "A5", "--no-such-flag"), "unrecognized arguments"),
     (("analyze", "A5", "--enum-cap", "10"),
      "unrecognized arguments: --enum-cap 10"),
+    (("chebotarev", "A5", "--subset-cap", "-1"),
+     "unrecognized arguments: --subset-cap -1"),
 ])
 def test_usage_errors_are_input_errors(capsys, argv, words):
     # argparse would exit 2, which is the cap code
@@ -277,7 +325,7 @@ def test_assertion_failure_is_a_result_not_a_traceback(capsys, monkeypatch):
 
 
 def test_cap_environment_variables_are_ignored(capsys, monkeypatch):
-    # each cap is set by its flag alone; these variables are not read
+    # the lattice cap is set by its flag alone; neither variable is read
     monkeypatch.setenv("INVGEN_LATTICE_CAP", "10")
     monkeypatch.setenv("INVGEN_SUBSET_CAP", "abc")
     code, data = run_json(capsys, "analyze", "A5")

@@ -326,6 +326,19 @@ def test_refuter_identity_refutes_immediately():
     assert verdict.refuted and verdict.trials_run == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: invgen_sample_refuter(alternating_group(5), [], 0,
+                                   random.Random(1)),
+     "trials must be >= 1"),
+    (lambda: build_profile(alternating_group(5), fusion=fuse_classes_under(
+        alternating_group(4), symmetric_group(4))),
+     "fusion map belongs to a different group"),
+])
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_refuter_rejects_foreign_elements():
     with pytest.raises(ValueError):
         invgen_sample_refuter(alternating_group(5), [parse_cycles("(1 2)", 5)],

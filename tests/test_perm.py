@@ -51,6 +51,14 @@ def test_parse_malformed():
         parse_cycles("", 3)
 
 
+@pytest.mark.parametrize("text", ["(1_2 3)", "(+1 2)", "(\u0661 2)",
+                                  "(1 \u00b2)", "(-1 2)", "(1.0 2)"])
+def test_parse_accepts_only_ascii_digits(text):
+    # int() would read these as (12 3), (1 2), (1 2), ...
+    with pytest.raises(ValueError, match="malformed cycle notation"):
+        parse_cycles(text, 12)
+
+
 def test_compose_involution():
     t = parse_cycles("(1 2)", 2)
     assert (t * t).is_identity()

@@ -977,6 +977,11 @@ def test_normalizes():
         fuse_classes_under(mk("(1 2)", 4), s4)
 
 
+def test_fusion_requires_g_inside_a():
+    with pytest.raises(ValueError, match="G is not a subgroup of A"):
+        fuse_classes_under(symmetric_group(5), alternating_group(5))
+
+
 def test_fusion_requires_normality():
     with pytest.raises(ValueError):
         fuse_classes_under(mk("(1 2)", 5), symmetric_group(5))
