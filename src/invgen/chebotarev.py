@@ -179,13 +179,28 @@ def p_i_sandwich_check(G: PermGroup, k: int, cap: int = DEFAULT_LATTICE_CAP
     shared union once per class, which only weakens it).  P_I(G,k) raises
     CapExceeded past CHAIN_CAP transitions, as in p_i_exact.
     """
+    return p_i_sandwich_checks(G, k, cap=cap)[k]
+
+
+def p_i_sandwich_checks(G: PermGroup, upto_k: int,
+                        cap: int = DEFAULT_LATTICE_CAP
+                        ) -> list[SandwichReport]:
+    """p_i_sandwich_check(G, k) for k = 0..upto_k, in that order, from one
+    family and one pass of its chain."""
+    if upto_k < 0:
+        raise ValueError("k must be >= 0")
     maxes = maximal_subgroups(G, cap=cap)
-    miss = 1 - p_i_exact(distinct_tilde_family(G, cap=cap), k)
-    max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
-    sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
-    return SandwichReport(k=k, max_v_pow_k=max_term, miss_probability=miss,
-                          sum_v_pow_k=sum_term,
-                          lower_ok=max_term <= miss, upper_ok=miss <= sum_term)
+    family = distinct_tilde_family(G, cap=cap)
+    out = []
+    for k, hits in enumerate(_hits(family, upto_k)):
+        miss = 1 - Fraction(hits, family.order ** k)
+        max_term = max((mc.v ** k for mc in maxes), default=Fraction(0))
+        sum_term = sum((mc.v ** k for mc in maxes), Fraction(0))
+        out.append(SandwichReport(
+            k=k, max_v_pow_k=max_term, miss_probability=miss,
+            sum_v_pow_k=sum_term,
+            lower_ok=max_term <= miss, upper_ok=miss <= sum_term))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,16 @@ new generator skips the level.
 
 generates(gens, order) answers "does <gens> have this order?" for a caller
 that guarantees every element of gens lies in a group of that order, i.e.
-"does gens generate that group?".  It sifts gens and then product-replacement
-random elements of <gens> into a chain without Schreier verification; the
-product of that chain's orbit lengths is a lower bound on |<gens>|, so
-reaching the order is a proven "yes".  After a fixed run of consecutive
-elements sifting to the identity it falls back to the exact chain of
-PermGroup(gens), which makes a "no" certain.  Its random generator is its
-own, seeded from the generators' image tuples: it never draws from a
+"does gens generate that group?".  One element g answers by its order
+alone: <g> is cyclic of g's element order, so no chain is built.  Larger
+sets are sifted into a chain without Schreier verification; the product
+of that chain's orbit lengths is a lower bound on |<gens>|, so reaching
+the order is a proven "yes".  When the sifted gens fall short, product-
+replacement random elements of <gens> are sifted in too, and after a
+fixed run of consecutive elements sifting to the identity it falls back
+to the exact chain of PermGroup(gens), which makes a "no" certain.  Its
+random generator is its own, seeded from the generators' image tuples,
+and seeded only when product replacement runs: it never draws from a
 caller's generator, so seeded streams around it are unaffected.
 """
 
@@ -327,6 +330,8 @@ def generates(gens: Sequence[Perm], order: int) -> bool:
     """
     if not gens:
         return order == 1
+    if len(gens) == 1:                  # <g> is cyclic of g's order
+        return gens[0].order() == order
     return (_order_lower_bound(gens, order - 1) == order
             or PermGroup(gens).order == order)
 
@@ -335,10 +340,14 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     """A lower bound on |<gens>|, from sifting gens and then
     product-replacement random elements of <gens> into an unverified chain;
     it stops as soon as the bound is exceeded, or after _PR_MISSES
-    consecutive elements sift to the identity."""
+    consecutive elements sift to the identity.  When gens alone exceed the
+    bound, no random generator is seeded."""
     chain = StabChain(gens[0].degree)
     for g in gens:
         chain._absorb(chain._sift(g))
+    order = chain.order()
+    if order > bound:
+        return order
     slots = [g.bytes + chain._tail for g in gens if not g.is_identity()]
     if slots:
         n = max(_PR_SLOTS, len(slots))
@@ -349,7 +358,7 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
                                     ).getrandbits
         k, k1 = n.bit_length(), (n - 1).bit_length()
         acc = chain._id
-        order, misses = chain.order(), 0
+        misses = 0
         while order <= bound and misses < _PR_MISSES:
             i = getrandbits(k)
             while i >= n:
@@ -363,7 +372,7 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
                 order, misses = chain.order(), 0
             else:
                 misses += 1
-    return chain.order()
+    return order
 
 
 def group_from_generators(gens: Sequence[Perm], name: str = "") -> PermGroup:

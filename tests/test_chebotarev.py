@@ -6,8 +6,8 @@ import pytest
 from invgen.chebotarev import (chebotarev_exact, chebotarev_mc,
                                chebotarev_partial_sum,
                                distinct_tilde_family, p_i_exact,
-                               p_i_sandwich_check, theorem2_ratio_report,
-                               tilde_family)
+                               p_i_sandwich_check, p_i_sandwich_checks,
+                               theorem2_ratio_report, tilde_family)
 from invgen.generation import build_profile, d_i_exact, profile_from_classes
 from invgen.group import CapExceeded, alternating_group, \
     group_from_generators, symmetric_group
@@ -275,6 +275,18 @@ def test_sandwich_sweep_small():
         for k in range(1, 9):
             rep = p_i_sandwich_check(G, k)
             assert rep.lower_ok and rep.upper_ok
+
+
+def test_sandwich_checks_read_every_k_off_one_chain():
+    G = symmetric_group(4)
+    reps = p_i_sandwich_checks(G, 8)
+    fam = distinct_tilde_family(G)
+    assert [r.k for r in reps] == list(range(9))
+    assert [r.miss_probability for r in reps] == [
+        1 - p_i_exact(fam, k) for k in range(9)]
+    assert reps[1:] == [p_i_sandwich_check(G, k) for k in range(1, 9)]
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        p_i_sandwich_check(G, -1)
 
 
 # -- Monte Carlo --------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The known-order generation test ``generates(gens, order)``: a proven "yes"
-from the random Schreier-Sims lower bound, an exact "no" from the fallback
-chain, and no draws from any caller's random generator."""
+"""The known-order generation test ``generates(gens, order)``: one element
+answered by its order, a proven "yes" from the random Schreier-Sims lower
+bound, an exact "no" from the fallback chain, and no draws from any
+caller's random generator."""
 
 import hashlib
 import random
@@ -9,8 +10,10 @@ import pytest
 
 from invgen import families, generation
 from invgen import group as group_mod
-from invgen.group import PermGroup, alternating_group, generates
+from invgen.group import (PermGroup, _order_lower_bound, alternating_group,
+                          generates)
 from invgen.perm import Perm, parse_cycles
+from invgen.structure import conjugacy_classes
 
 
 def _exact(gens, order):
@@ -41,6 +44,43 @@ def test_empty_identity_and_trivial():
     assert trivial.order == 1
     assert generates(trivial.generators, trivial.order)
     assert generates([trivial.identity()], trivial.order)
+
+
+def test_one_element_verdict_is_the_exact_order(catalog, get_group):
+    answers = set()
+    for entry in catalog:
+        G = get_group(entry.name)
+        for c in conjugacy_classes(G).classes:
+            verdict = generates([c.rep], G.order)
+            assert verdict == _exact([c.rep], G.order), (entry.name, c.label)
+            answers.add(verdict)
+    assert answers == {True, False}
+
+
+def _no_random(*args):
+    raise AssertionError("random.Random was seeded")
+
+
+@pytest.mark.parametrize("name", ["C12", "C2^4", "AGL(1,7)"])
+def test_sifted_generators_past_the_bound_seed_no_generator(
+        name, get_group, monkeypatch):
+    G = get_group(name)
+    monkeypatch.setattr(group_mod.random, "Random", _no_random)
+    assert _order_lower_bound(G.generators, G.order - 1) == G.order
+
+
+def test_product_replacement_still_draws(monkeypatch):
+    gens = list(families.alternating_pair(9))
+    bound = alternating_group(9).order - 1
+    want = _order_lower_bound(gens, bound)
+    seeded, real = [], random.Random
+
+    def spy(seed):
+        seeded.append(seed)
+        return real(seed)
+    monkeypatch.setattr(group_mod.random, "Random", spy)
+    assert _order_lower_bound(gens, bound) == want
+    assert len(seeded) == 1
 
 
 @pytest.mark.parametrize("n", range(9, 15))

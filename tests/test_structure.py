@@ -5,12 +5,13 @@ import math
 import operator
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from invgen import families, maximal, table
-from invgen.group import (PermGroup, alternating_group,
+from invgen.group import (PermGroup, _order_lower_bound, alternating_group,
                           group_from_generators, power_group, symmetric_group)
 from invgen.maximal import (_factorize, _interval_maximals, _orbit_bits,
                             _p_maximal_subgroups, _sylow_indices,
@@ -251,6 +252,40 @@ def test_cut_down_intervals_match_the_lattice(catalog, get_group):
                     got = _interval_maximals(tab, sorted(P), divisor)
                     assert sorted(got, key=sorted) == sorted(
                         want, key=sorted), (e.name, p, divisor)
+
+
+def _interval_prefilter_calls(tab, monkeypatch) -> tuple[list, list]:
+    """The interval search's outputs and its pre-filter calls, (gens,
+    most), over the cut-down intervals of one maximal search."""
+    calls, outputs = [], []
+
+    def spy(gens, most):
+        calls.append((tuple(gens), most))
+        return _order_lower_bound(gens, most)
+    monkeypatch.setattr(maximal, "_order_lower_bound", spy)
+    fact = _factorize(tab.n)
+    divisor = tab.n
+    for p in sorted(fact, reverse=True):
+        outputs.append(_interval_maximals(
+            tab, _sylow_indices(tab, p, p ** fact[p]), divisor))
+        divisor //= p
+    return outputs, calls
+
+
+@pytest.mark.parametrize("name", ["A7", "S6"])
+def test_join_bound_skips_only_joins_past_their_bound(name, get_group,
+                                                      monkeypatch):
+    # with the bound lifted the search makes the same calls and more; each
+    # extra call is a join the bound skipped, and it closes past `most`
+    tab = group_table(get_group(name))
+    bounded, kept = _interval_prefilter_calls(tab, monkeypatch)
+    monkeypatch.setattr(maximal, "_least_join_order", lambda *args: 1)
+    unbounded, every = _interval_prefilter_calls(tab, monkeypatch)
+    assert bounded == unbounded
+    skipped = Counter(every) - Counter(kept)
+    assert skipped and not Counter(kept) - Counter(every)
+    for gens, most in skipped:
+        assert PermGroup(list(gens)).order > most, (name, most)
 
 
 def test_sylow_subgroup_classes_match_the_lattice(catalog, get_group):
