@@ -24,20 +24,41 @@ new generator skips the level.
 generates(gens, order) answers "does <gens> have this order?" for a caller
 that guarantees every element of gens lies in a group of that order, i.e.
 "does gens generate that group?".  One element g answers by its order
-alone: <g> is cyclic of g's element order, so no chain is built.  Larger
-sets are sifted into a chain without Schreier verification; the product
-of that chain's orbit lengths is a lower bound on |<gens>|, so reaching
-the order is a proven "yes".  When the sifted gens fall short, product-
-replacement random elements of <gens> are sifted in too, and after a
-fixed run of consecutive elements sifting to the identity it falls back
-to the exact chain of PermGroup(gens), which makes a "no" certain.  Its
-random generator is its own, seeded from the generators' image tuples,
-and seeded only when product replacement runs: it never draws from a
-caller's generator, so seeded streams around it are unaffected.
+alone: <g> is cyclic of g's element order, so no chain is built.
+
+Larger sets on n >= 8 points with order n!/2 or n! go first to Jordan's
+test, since inside S_n only A_n and S_n have those orders.  An
+intransitive <gens> is an exact "no".  A transitive <gens> holding an
+element with a cycle of prime length p, n/2 < p < n - 2, contains A_n.
+That element's power by the lcm of its other cycle lengths is a p-cycle c,
+since no other length is a multiple of p, and <gens> is primitive: were c
+to move a block of a block system, the block's p images, of at least 2
+points each, would hold 2p > n points, and were c to fix every block, the
+block meeting c's support would hold all p > n/2 of its points.  A
+primitive group holding a p-cycle with p <= n - 3 contains A_n (Jordan's
+theorem; Wielandt, Finite Permutation Groups, 1964, Thm 13.9).  So the
+answer is "yes" for n!/2, and for n! "yes" exactly when some generator is
+odd.  The test reads the generators, then up to _JORDAN_DRAWS
+product-replacement elements, and otherwise leaves the set to the chain.
+
+The chain's test sifts the set into a chain without Schreier verification;
+the product of that chain's orbit lengths is a lower bound on |<gens>|, so
+reaching the order is a proven "yes".  When the sifted gens fall short,
+product-replacement random elements of <gens> are sifted in too, and after
+a fixed run of consecutive elements sifting to the identity it falls back
+to the exact chain of PermGroup(gens), which makes a "no" certain.  Both
+tests draw their random elements from the same product-replacement stream,
+each from its start.  Its random generator is its own, seeded from the
+generators' image tuples, and seeded only when product replacement runs:
+it never draws from a caller's generator, so seeded streams around it are
+unaffected.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import random
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -51,6 +72,11 @@ DEFAULT_LATTICE_CAP = 20_000     # largest group whose subgroups are searched
 # elements sifting to the identity after which the exact chain decides
 _PR_SLOTS = 10
 _PR_MISSES = 20
+# the product-replacement elements Jordan's test reads for a cycle in its
+# window before the chain decides.  Over 2,000 conjugated alternating_pair(n)
+# per n = 8..14 it missed once (A11); over about 1,800 generating random
+# pairs per n, 5 times on A14, whose window holds 11 alone, and nowhere else
+_JORDAN_DRAWS = 60
 
 
 class CapExceeded(Exception):
@@ -332,8 +358,78 @@ def generates(gens: Sequence[Perm], order: int) -> bool:
         return order == 1
     if len(gens) == 1:                  # <g> is cyclic of g's order
         return gens[0].order() == order
+    verdict = _jordan(gens, order)
+    if verdict is not None:
+        return verdict
     return (_order_lower_bound(gens, order - 1) == order
             or PermGroup(gens).order == order)
+
+
+def _jordan(gens: Sequence[Perm], order: int) -> Optional[bool]:
+    """Jordan's test (module docstring): the verdict when gens lie in A_n
+    or S_n, n >= 8, and it settles them; otherwise None."""
+    n = gens[0].degree
+    if n < 8:
+        return None
+    full = math.factorial(n)
+    if order != full and order * 2 != full:
+        return None
+    strings = [g.bytes for g in gens]
+    if any(len(s) != n for s in strings):
+        raise ValueError("generators have mixed degrees")
+    seen = bytearray(n)
+    seen[0] = 1
+    orbit = [0]
+    for pt in orbit:
+        for s in strings:
+            if not seen[s[pt]]:
+                seen[s[pt]] = 1
+                orbit.append(s[pt])
+    if len(orbit) < n:
+        return False
+    window = _jordan_window(n)
+    drawn = itertools.islice(_product_replacement(gens), _JORDAN_DRAWS)
+    for x in itertools.chain(gens, map(_fast_perm, drawn)):
+        if any(len(c) in window for c in x.cycles()):
+            return order != full or not all(g.is_even() for g in gens)
+    return None
+
+
+@functools.cache
+def _jordan_window(n: int) -> frozenset:
+    """The primes p with n/2 < p < n - 2."""
+    return frozenset(p for p in range(n // 2 + 1, n - 2)
+                     if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def _product_replacement(gens: Sequence[Perm]):
+    """Product-replacement random elements of <gens>, as image strings, one
+    per step, without end: at least _PR_SLOTS slots (the non-identity gens,
+    repeated) and an accumulator that each step multiplies by the slot it
+    replaced.  It yields nothing when every generator is the identity, and
+    seeds its random generator at the first element drawn."""
+    tail = _IDENT[gens[0].degree:]
+    slots = [g.bytes + tail for g in gens if not g.is_identity()]
+    if not slots:
+        return
+    n = max(_PR_SLOTS, len(slots))
+    slots = [slots[i % len(slots)] for i in range(n)]
+    # randrange(n) and randrange(n - 1), drawn as randrange draws them;
+    # image tuples, unlike bytes, hash alike in every process
+    getrandbits = random.Random(hash(tuple(g.images for g in gens))
+                                ).getrandbits
+    k, k1 = n.bit_length(), (n - 1).bit_length()
+    acc = _IDENT[:gens[0].degree]
+    while True:
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        j = getrandbits(k1)
+        while j >= n - 1:
+            j = getrandbits(k1)
+        slots[i] = slots[i].translate(slots[j + (j >= i)])
+        acc = acc.translate(slots[i])
+        yield acc
 
 
 def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
@@ -348,30 +444,16 @@ def _order_lower_bound(gens: Sequence[Perm], bound: int) -> int:
     order = chain.order()
     if order > bound:
         return order
-    slots = [g.bytes + chain._tail for g in gens if not g.is_identity()]
-    if slots:
-        n = max(_PR_SLOTS, len(slots))
-        slots = [slots[i % len(slots)] for i in range(n)]
-        # randrange(n) and randrange(n - 1), drawn as randrange draws them;
-        # image tuples, unlike bytes, hash alike in every process
-        getrandbits = random.Random(hash(tuple(g.images for g in gens))
-                                    ).getrandbits
-        k, k1 = n.bit_length(), (n - 1).bit_length()
-        acc = chain._id
-        misses = 0
-        while order <= bound and misses < _PR_MISSES:
-            i = getrandbits(k)
-            while i >= n:
-                i = getrandbits(k)
-            j = getrandbits(k1)
-            while j >= n - 1:
-                j = getrandbits(k1)
-            slots[i] = slots[i].translate(slots[j + (j >= i)])
-            acc = acc.translate(slots[i])
-            if chain._absorb(chain._sift_from(0, acc)):
-                order, misses = chain.order(), 0
-            else:
-                misses += 1
+    misses = 0
+    for acc in _product_replacement(gens):
+        if chain._absorb(chain._sift_from(0, acc)):
+            order, misses = chain.order(), 0
+            if order > bound:
+                break
+        else:
+            misses += 1
+            if misses == _PR_MISSES:
+                break
     return order
 
 

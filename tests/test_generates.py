@@ -1,9 +1,10 @@
 """The known-order generation test ``generates(gens, order)``: one element
-answered by its order, a proven "yes" from the random Schreier-Sims lower
-bound, an exact "no" from the fallback chain, and no draws from any
-caller's random generator."""
+answered by its order, Jordan's test for A_n and S_n, a proven "yes" from
+the random Schreier-Sims lower bound, an exact "no" from the fallback
+chain, and no draws from any caller's random generator."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from invgen import families, generation
 from invgen import group as group_mod
 from invgen.group import (PermGroup, _order_lower_bound, alternating_group,
-                          generates)
+                          generates, symmetric_group)
 from invgen.perm import Perm, parse_cycles
 from invgen.structure import conjugacy_classes
 
@@ -96,16 +97,120 @@ def test_alternating_pair_generates(n, monkeypatch):
 def test_proper_subgroup_of_a14_uses_the_exact_fallback(monkeypatch):
     A14 = alternating_group(14)
     a13 = [Perm(g.images + (14,)) for g in alternating_group(13).generators]
+    # the even part of S7 wr S2: transitive, imprimitive, order 7!^2
+    wreath = [parse_cycles("(1 2 3 4 5 6 7)", 14),
+              parse_cycles("(1 2)(8 9)", 14),
+              parse_cycles("(1 9 2 8)(3 10)(4 11)(5 12)(6 13)(7 14)", 14)]
     built = []
 
     def spy(gens):
         built.append(PermGroup(gens))
         return built[-1]
     monkeypatch.setattr(group_mod, "PermGroup", spy)
-    assert not generates(a13, A14.order)
-    assert [H.order for H in built] == [A14.order // 14]
+    assert not generates(a13, A14.order)        # intransitive: no chain
+    assert built == []
+    assert not generates(wreath, A14.order)
+    assert [H.order for H in built] == [math.factorial(7) ** 2]
     assert generates(list(families.alternating_pair(14)), A14.order)
     assert len(built) == 1
+
+
+def _projective(p: int, *maps) -> list:
+    """The maps x -> (ax + b)/(cx + d), each given as (a, b, c, d), on the
+    projective line over GF(p), p prime: points 0..p-1 as 1..p, and
+    infinity as p + 1."""
+    def image(x, a, b, c, d):
+        if x == p:
+            return a * pow(c, -1, p) % p if c else p
+        den = (c * x + d) % p
+        return (a * x + b) * pow(den, -1, p) % p if den else p
+    return [Perm([image(x, *m) + 1 for x in range(p + 1)]) for m in maps]
+
+
+_PSL2 = ((1, 1, 0, 1), (0, -1, 1, 0))       # x + 1 and -1/x
+
+
+def _jordan_cases(get_group):
+    """(name, gens, order): giants, and near-giants with a prime cycle at
+    the edge of Jordan's window n/2 < p < n - 2 or just past it."""
+    fact = math.factorial
+    cases = []
+    for n in range(8, 15):
+        An, Sn = alternating_group(n), symmetric_group(n)
+        pair = list(families.alternating_pair(n))
+        cases += [(f"A{n} pair", pair, fact(n) // 2),
+                  (f"A{n} pair in S{n}", pair, fact(n)),
+                  (f"S{n}", Sn.generators, fact(n))]
+        rng = random.Random(f"jordan {n}")
+        for k in (2, 2, 3):
+            cases += [(f"random A{n}", [An.random_element(rng)
+                                        for _ in range(k)], fact(n) // 2),
+                      (f"random S{n}", [Sn.random_element(rng)
+                                        for _ in range(k)], fact(n))]
+    m11 = [parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11),
+           parse_cycles("(3 7 11 8)(4 10 5 6)", 11)]
+    psl2_11 = _projective(11, *_PSL2)
+    a13 = [Perm(g.images + (14,)) for g in alternating_group(13).generators]
+    cases += [
+        ("PGammaL(2,8), 7-cycles, p = n - 2",
+         get_group("PGammaL(2,8)").generators, fact(9) // 2),
+        ("M11, 11-cycles", m11, fact(11) // 2),
+        ("M11 in S11", m11, fact(11)),
+        ("PSL(2,11), 11-cycles, p = n - 1", psl2_11, fact(12) // 2),
+        ("PSL(2,11) in S12", psl2_11, fact(12)),
+        ("PGL(2,7), 7-cycles", _projective(7, *_PSL2, (3, 0, 0, 1)),
+         fact(8)),
+        ("PGL(2,13), 13-cycles", _projective(13, *_PSL2, (2, 0, 0, 1)),
+         fact(14)),
+        ("A13 on 14 points and an 11-cycle, intransitive",
+         a13 + [parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 14)],
+         fact(14) // 2),
+    ]
+    return cases
+
+
+def test_jordan_route_agrees_with_exact_order(get_group, monkeypatch):
+    routes = []
+    jordan = group_mod._jordan
+
+    def spy(gens, order):
+        routes.append(jordan(gens, order))
+        return routes[-1]
+    monkeypatch.setattr(group_mod, "_jordan", spy)
+    answers = set()
+    for name, gens, order in _jordan_cases(get_group):
+        n = gens[0].degree
+        # the caller's guarantee: gens lie in A_n for an n!/2 target
+        assert order == math.factorial(n) or all(g.is_even() for g in gens)
+        verdict = generates(gens, order)
+        assert verdict == _exact(gens, order), name
+        answers.add(verdict)
+    assert answers == {True, False}
+    assert set(routes) == {True, False, None}
+
+
+def _no_chain(degree):
+    raise AssertionError("a stabilizer chain was built")
+
+
+def test_jordan_proof_builds_no_chain(monkeypatch):
+    symmetric = {n: symmetric_group(n).generators for n in range(8, 15)}
+    monkeypatch.setattr(group_mod, "StabChain", _no_chain)
+    for n in (8, 9, 10, 12, 14):
+        pair = list(families.alternating_pair(n))
+        assert generates(pair, math.factorial(n) // 2)
+    for n, gens in symmetric.items():
+        assert generates(gens, math.factorial(n))
+
+
+def test_mixed_degrees_still_raise():
+    x8, y8 = families.alternating_pair(8)
+    x9, y9 = families.alternating_pair(9)
+    half = math.factorial(9) // 2
+    for gens, order in (([x9, y8], half), ([x8, y9], half // 9),
+                        ([x8, y9], half), ([x9, y9, x8], half)):
+        with pytest.raises(ValueError):
+            generates(gens, order)
 
 
 def test_helper_leaves_global_and_caller_streams_alone():
